@@ -37,7 +37,7 @@ pub fn generalize_table(
     hierarchies: &[Hierarchy],
     levels: &[usize],
 ) -> Result<Table, AnonError> {
-    generalize_table_with(table, hierarchies, levels, &ExecConfig::serial())
+    generalize_table_with(table, hierarchies, levels, &ExecConfig::default())
 }
 
 /// [`generalize_table`] with a parallelism configuration: rows are
@@ -120,7 +120,9 @@ fn equivalence_classes_columnar(table: &Table, qi_idx: &[usize]) -> Option<Vec<V
     for &c in qi_idx {
         // Conversion materialized exactly these columns; decline to the
         // row path rather than abort if that invariant ever breaks.
-        coded.push(chunk.column(c)?.dense_codes());
+        // One thread: the lattice search already evaluates its nodes in
+        // parallel.
+        coded.push(chunk.column(c)?.dense_codes(&ExecConfig::default()));
     }
     let mut product: u128 = 1;
     for (_, card) in &coded {
@@ -216,7 +218,7 @@ pub fn kanonymize(
     k: usize,
     max_suppress: usize,
 ) -> Result<AnonResult, AnonError> {
-    kanonymize_with(table, hierarchies, k, max_suppress, &ExecConfig::serial())
+    kanonymize_with(table, hierarchies, k, max_suppress, &ExecConfig::default())
 }
 
 /// [`kanonymize`] with a parallelism configuration.
@@ -350,7 +352,7 @@ pub fn kanonymize_with(
 
 /// Checks k-anonymity of a table over the given QI columns.
 pub fn is_k_anonymous(table: &Table, qi: &[&str], k: usize) -> Result<bool, AnonError> {
-    is_k_anonymous_with(table, qi, k, &ExecConfig::serial())
+    is_k_anonymous_with(table, qi, k, &ExecConfig::default())
 }
 
 /// [`is_k_anonymous`] with an execution configuration: a columnar
@@ -518,7 +520,7 @@ mod tests {
         t.push_row(vec!["HIV".into(), 99.into(), "DH".into()])
             .unwrap();
         for (k, sup) in [(2, 0), (2, 1), (3, 0), (1, 0)] {
-            let serial = kanonymize(&t, &hiers(), k, sup);
+            let serial = kanonymize_with(&t, &hiers(), k, sup, &ExecConfig::row_oracle());
             for threads in [2, 8] {
                 let cfg = ExecConfig::with_threads(threads);
                 let par = kanonymize_with(&t, &hiers(), k, sup, &cfg);
@@ -535,7 +537,7 @@ mod tests {
             }
         }
         // Unsatisfiable cases agree too (same best_violations).
-        let se = kanonymize(&t, &hiers(), 8, 0).unwrap_err();
+        let se = kanonymize_with(&t, &hiers(), 8, 0, &ExecConfig::row_oracle()).unwrap_err();
         let pe = kanonymize_with(&t, &hiers(), 8, 0, &ExecConfig::with_threads(4)).unwrap_err();
         assert_eq!(se, pe);
     }
@@ -543,7 +545,8 @@ mod tests {
     #[test]
     fn parallel_generalize_matches_serial() {
         let t = patients();
-        let serial = generalize_table(&t, &hiers(), &[1, 1]).unwrap();
+        let serial =
+            generalize_table_with(&t, &hiers(), &[1, 1], &ExecConfig::row_oracle()).unwrap();
         let par =
             generalize_table_with(&t, &hiers(), &[1, 1], &ExecConfig::with_threads(8)).unwrap();
         assert_eq!(serial.rows(), par.rows());
@@ -570,9 +573,9 @@ mod tests {
         col_classes.sort();
         assert_eq!(row_classes, col_classes);
 
-        let serial = kanonymize(&t, &hiers(), 2, 1).unwrap();
+        let serial = kanonymize_with(&t, &hiers(), 2, 1, &ExecConfig::row_oracle()).unwrap();
         for threads in [1, 2, 8] {
-            let cfg = ExecConfig::with_threads(threads).with_columnar(true);
+            let cfg = ExecConfig::with_threads(threads);
             let columnar = kanonymize_with(&t, &hiers(), 2, 1, &cfg).unwrap();
             assert_eq!(columnar.levels, serial.levels, "threads={threads}");
             assert_eq!(columnar.suppressed, serial.suppressed);
@@ -583,7 +586,7 @@ mod tests {
             &serial.table,
             &["Disease", "Age"],
             2,
-            &ExecConfig::columnar()
+            &ExecConfig::default()
         )
         .unwrap());
     }

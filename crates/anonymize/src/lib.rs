@@ -23,6 +23,10 @@
 //! * [`metrics`] — utility metrics (discernibility, average class size,
 //!   generalization precision loss) used by experiment E7.
 
+// Panics are not an acceptable failure mode in library code: failures
+// carry typed errors. Tests may still unwrap.
+#![cfg_attr(not(test), deny(clippy::unwrap_used, clippy::expect_used))]
+
 pub mod error;
 pub mod hierarchy;
 pub mod kanon;

@@ -55,7 +55,7 @@ fn range_label(vals: &[f64], is_date: bool) -> String {
 /// position on the axis). QI columns become Text range labels; all other
 /// columns pass through unchanged.
 pub fn mondrian(table: &Table, qi: &[&str], k: usize) -> Result<Table, AnonError> {
-    mondrian_with(table, qi, k, &ExecConfig::serial())
+    mondrian_with(table, qi, k, &ExecConfig::default())
 }
 
 /// [`mondrian`] with an execution configuration. The recursive median-cut
@@ -322,7 +322,9 @@ fn split_parallel(
         for slot in frontier {
             match slot {
                 Slot::Done(p) => next.push(Slot::Done(p)),
-                Slot::Open(p) => match cut_iter.next().expect("one cut per open slot") {
+                // One cut per open slot; a missing one (never produced)
+                // would leave the partition uncut, which is still valid.
+                Slot::Open(p) => match cut_iter.next().flatten() {
                     Some((lhs, rhs)) => {
                         next.push(Slot::Open(lhs));
                         next.push(Slot::Open(rhs));
@@ -476,9 +478,9 @@ mod tests {
             coords_columnar(&t, &qi_idx).unwrap(),
             coords_rowwise(&t, &qi_idx)
         );
-        let serial = mondrian(&t, &qi, 3).unwrap();
+        let serial = mondrian_with(&t, &qi, 3, &ExecConfig::row_oracle()).unwrap();
         for threads in [1, 2, 8] {
-            let cfg = ExecConfig::with_threads(threads).with_columnar(true);
+            let cfg = ExecConfig::with_threads(threads);
             let columnar = mondrian_with(&t, &qi, 3, &cfg).unwrap();
             assert_eq!(columnar.rows(), serial.rows(), "threads={threads}");
             assert_eq!(columnar.schema(), serial.schema());
@@ -506,7 +508,7 @@ mod tests {
             .collect();
         let t = Table::from_rows("T", schema, rows).unwrap();
         for k in [2, 5, 25] {
-            let serial = mondrian(&t, &["Age", "Zip"], k).unwrap();
+            let serial = mondrian_with(&t, &["Age", "Zip"], k, &ExecConfig::row_oracle()).unwrap();
             for threads in [2, 8] {
                 let cfg = ExecConfig::with_threads(threads);
                 let par = mondrian_with(&t, &["Age", "Zip"], k, &cfg).unwrap();

@@ -18,6 +18,10 @@
 //!   leaked source attribute, find every logged delivery that exposed
 //!   it and the exact report cells that did.
 
+// Panics are not an acceptable failure mode in library code: failures
+// carry typed errors. Tests may still unwrap.
+#![cfg_attr(not(test), deny(clippy::unwrap_used, clippy::expect_used))]
+
 pub mod dispute;
 pub mod log;
 pub mod monitor;

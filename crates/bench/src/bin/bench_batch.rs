@@ -265,7 +265,7 @@ fn main() {
     );
 
     let json = format!(
-        "{{\"requests\":{consumers},\"profiles\":{PROFILES},\"threads\":{threads},\
+        "{{\"requests\":{consumers},\"profiles\":{PROFILES},\"threads\":{threads},\"cores\":{cores},\
 \"quick\":{quick},\"unshared_ms\":{unshared_ms:.3},\"shared_cold_ms\":{shared_cold_ms:.3},\
 \"shared_warm_ms\":{shared_warm_ms:.3},\"speedup\":{speedup:.3},\
 \"warm_speedup\":{warm_speedup:.3},\"render_unique\":{render_unique},\

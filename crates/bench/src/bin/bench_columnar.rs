@@ -3,15 +3,15 @@
 //! Times the three operators the columnar layer vectorizes — predicate
 //! filter (selection-vector kernels), dictionary-code equality join and
 //! dense-code grouped aggregation — at several table sizes, all on a
-//! single thread so the speedup is purely algorithmic. Verifies the
+//! single thread so the speedup is purely algorithmic, the two engines
+//! timed in alternation (median of each). Verifies the
 //! columnar output is *identical* to the row-engine one and writes
 //! `BENCH_columnar.json` for `scripts/bench_smoke.sh`.
 //!
 //! Usage: `cargo run --release -p bi-bench --bin bench_columnar --
 //! [--full] [--out PATH]`. `--full` adds a 1M-row size.
 
-use std::time::Instant;
-
+use bi_bench::median_interleaved;
 use bi_core::exec::ExecConfig;
 use bi_core::query::plan::{scan, AggItem};
 use bi_core::query::{execute_with, Catalog};
@@ -62,26 +62,6 @@ fn catalog(rows: usize) -> Catalog {
     cat
 }
 
-/// Best-of-N wall time in milliseconds, plus the output for comparison.
-fn time_plan(
-    plan: &bi_core::query::Plan,
-    cat: &Catalog,
-    cfg: &ExecConfig,
-    iters: usize,
-) -> (f64, Table) {
-    let mut best = f64::INFINITY;
-    // Untimed warm-up so the first configuration measured does not pay
-    // the allocator's first-touch cost for the output table.
-    let mut out = execute_with(plan, cat, cfg).expect("bench plan executes");
-    for _ in 0..iters.max(1) {
-        let t0 = Instant::now();
-        let table = execute_with(plan, cat, cfg).expect("bench plan executes");
-        best = best.min(t0.elapsed().as_secs_f64() * 1e3);
-        out = table;
-    }
-    (best, out)
-}
-
 fn main() {
     let args: Vec<String> = std::env::args().skip(1).collect();
     let full = args.iter().any(|a| a == "--full");
@@ -96,8 +76,8 @@ fn main() {
     } else {
         &[10_000, 100_000]
     };
-    let row_cfg = ExecConfig::serial();
-    let col_cfg = ExecConfig::columnar();
+    let row_cfg = ExecConfig::row_oracle();
+    let col_cfg = ExecConfig::default();
     let cores = std::thread::available_parallelism()
         .map(|n| n.get())
         .unwrap_or(1);
@@ -120,11 +100,17 @@ fn main() {
     let mut size_entries = Vec::new();
     for &rows in sizes {
         let cat = catalog(rows);
-        let iters = if rows >= 1_000_000 { 2 } else { 5 };
+        let rounds = if rows >= 1_000_000 { 3 } else { 15 };
         let mut op_entries = Vec::new();
         for (name, plan) in ops {
-            let (r_ms, r_out) = time_plan(plan, &cat, &row_cfg, iters);
-            let (c_ms, c_out) = time_plan(plan, &cat, &col_cfg, iters);
+            let run =
+                |cfg: &ExecConfig| execute_with(plan, &cat, cfg).expect("bench plan executes");
+            let (mut r_out, mut c_out) = (run(&row_cfg), run(&col_cfg));
+            let ms = median_interleaved(
+                rounds,
+                &mut [&mut || r_out = run(&row_cfg), &mut || c_out = run(&col_cfg)],
+            );
+            let (r_ms, c_ms) = (ms[0], ms[1]);
             assert_eq!(r_out.rows(), c_out.rows(), "{name}@{rows}: outputs diverge");
             assert_eq!(r_out.name(), c_out.name(), "{name}@{rows}: names diverge");
             assert_eq!(

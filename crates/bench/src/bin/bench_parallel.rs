@@ -1,22 +1,24 @@
-//! Serial vs planner-driven executor timings on synthetic tables.
+//! Thread-sweep timings of the default engine on synthetic tables.
 //!
-//! Sweeps thread counts {1, 2, 4, 8} over the four operators the
-//! morsel-driven executor touches — scan, predicate filter, partitioned
-//! hash join and grouped aggregation — at several table sizes, verifies
-//! every output is *identical* to the serial one, and writes
-//! `BENCH_parallel.json` for `scripts/bench_smoke.sh`.
+//! Sweeps thread counts {1, 2, 4, 8} over four operators — scan,
+//! predicate filter, hash join and grouped aggregation — at several
+//! table sizes. Every point runs the default columnar + pipeline engine
+//! at N threads and is compared with the same engine at one thread;
+//! every output is verified *identical* to the row oracle
+//! (`ExecConfig::row_oracle()`). Writes `BENCH_parallel.json` for
+//! `scripts/bench_smoke.sh`.
 //!
 //! Two things make the numbers honest:
 //!
 //! * every measurement batches executions until the batch clears
-//!   [`MIN_BATCH_MS`], so sub-millisecond operators (a scan is an Arc
-//!   bump) report real per-op times and throughput instead of 0.000 ms;
-//! * each (op, threads) point records which engine the cost model
-//!   actually chose (`plan.choice.*`). When the planner picks the
-//!   serial engine — single effective core, input under the row
-//!   threshold, high-cardinality keys — the point *is* the serial
-//!   measurement (same code path), reported as speedup 1.000 with
-//!   `"choice":"serial"` rather than re-measured noise.
+//!   [`MIN_BATCH_MS`], so sub-microsecond operators (a scan is an Arc
+//!   bump) report real per-op times and throughput instead of 0.000 ms,
+//!   and every compared pair of configurations runs its batches in
+//!   alternation, median batch of each, so both see the same stretches
+//!   of host speed;
+//! * thread counts are *requests*, clamped to the host's cores as in a
+//!   deployment, and each point records which engine actually served
+//!   the operator (`plan.choice.*`).
 //!
 //! A separate repeated-render section measures the version-keyed chunk
 //! cache: the same columnar report plan rendered cold (cache cleared)
@@ -28,6 +30,7 @@
 
 use std::time::Instant;
 
+use bi_bench::median_interleaved;
 use bi_core::exec::{ExecConfig, Obs};
 use bi_core::query::plan::{scan, AggItem, SortKey};
 use bi_core::query::{execute_with, Catalog};
@@ -39,8 +42,17 @@ use bi_core::types::{Column, DataType, Schema, Value};
 const THREAD_COUNTS: [usize; 4] = [1, 2, 4, 8];
 
 /// A timing batch must take at least this long; per-op time is the
-/// batch time divided by the iteration count.
-const MIN_BATCH_MS: f64 = 5.0;
+/// batch time divided by the iteration count. Short, so that many
+/// batches fit in the pair's time budget.
+const MIN_BATCH_MS: f64 = 0.25;
+
+/// Wall time to spend per compared pair of configurations; the number
+/// of alternating batch rounds follows from it, within [`ROUNDS`].
+const PAIR_BUDGET_MS: f64 = 300.0;
+
+/// Bounds on the alternating batch rounds per pair; the median batch
+/// of each configuration counts.
+const ROUNDS: std::ops::RangeInclusive<usize> = 7..=400;
 
 /// Fact(K, G, V) with a NULL join key every 97th row, plus Dim(K, W).
 fn catalog(rows: usize) -> Catalog {
@@ -80,36 +92,58 @@ fn catalog(rows: usize) -> Catalog {
     cat
 }
 
-/// Per-execution wall time in milliseconds (best of three batches,
-/// each batched to clear [`MIN_BATCH_MS`]), plus one output table.
-fn time_plan(plan: &bi_core::query::Plan, cat: &Catalog, cfg: &ExecConfig) -> (f64, Table) {
-    // Untimed warm-up: first-touch allocator costs are not steady-state
-    // per-op time.
-    let out = execute_with(plan, cat, cfg).expect("bench plan executes");
+/// Executions per timing batch for `cfg`, doubled until one batch
+/// clears [`MIN_BATCH_MS`], and that batch's wall time in milliseconds.
+fn batch_size(plan: &bi_core::query::Plan, cat: &Catalog, cfg: &ExecConfig) -> (usize, f64) {
     let mut iters = 1usize;
     loop {
         let t0 = Instant::now();
         for _ in 0..iters {
             let _ = execute_with(plan, cat, cfg).expect("bench plan executes");
         }
-        if t0.elapsed().as_secs_f64() * 1e3 >= MIN_BATCH_MS {
-            break;
+        let ms = t0.elapsed().as_secs_f64() * 1e3;
+        if ms >= MIN_BATCH_MS {
+            return (iters, ms);
         }
         iters *= 2;
     }
-    let mut best = f64::INFINITY;
-    for _ in 0..3 {
-        let t0 = Instant::now();
-        for _ in 0..iters {
-            let _ = execute_with(plan, cat, cfg).expect("bench plan executes");
-        }
-        best = best.min(t0.elapsed().as_secs_f64() * 1e3 / iters as f64);
-    }
-    (best, out)
 }
 
-/// Which engine the planner chose for the plan's interesting operator,
-/// read back from the `plan.choice.*` counters of an observed run.
+/// Per-execution wall times in milliseconds of each configuration
+/// (median batch of each over rounds that run the configurations in
+/// alternation), plus the output table of the last one.
+fn time_configs(
+    plan: &bi_core::query::Plan,
+    cat: &Catalog,
+    cfgs: &[&ExecConfig],
+) -> (Vec<f64>, Table) {
+    let run = |c: &ExecConfig| execute_with(plan, cat, c).expect("bench plan executes");
+    let sized: Vec<(usize, f64)> = cfgs.iter().map(|c| batch_size(plan, cat, c)).collect();
+    let batch_ms: f64 = sized.iter().map(|(_, ms)| ms).sum();
+    let rounds = ((PAIR_BUDGET_MS / batch_ms) as usize).clamp(*ROUNDS.start(), *ROUNDS.end());
+    let mut batches: Vec<_> = cfgs
+        .iter()
+        .zip(&sized)
+        .map(|(cfg, &(iters, _))| {
+            move || {
+                for _ in 0..iters {
+                    let _ = run(cfg);
+                }
+            }
+        })
+        .collect();
+    let mut fs: Vec<&mut dyn FnMut()> = batches.iter_mut().map(|f| f as &mut dyn FnMut()).collect();
+    let ms = median_interleaved(rounds, &mut fs);
+    let per_op = ms
+        .iter()
+        .zip(&sized)
+        .map(|(ms, (iters, _))| ms / *iters as f64)
+        .collect();
+    (per_op, run(cfgs[cfgs.len() - 1]))
+}
+
+/// Which engine served the plan's interesting operator, read back from
+/// the `plan.choice.*` counters of an observed run.
 fn plan_choice(plan: &bi_core::query::Plan, cat: &Catalog, cfg: &ExecConfig) -> &'static str {
     let obs = Obs::enabled();
     let observed = cfg.clone().with_obs(obs.clone());
@@ -118,7 +152,6 @@ fn plan_choice(plan: &bi_core::query::Plan, cat: &Catalog, cfg: &ExecConfig) -> 
     for (counter, label) in [
         ("plan.choice.pipeline", "pipeline"),
         ("plan.choice.columnar", "columnar"),
-        ("plan.choice.parallel", "parallel"),
         ("plan.choice.serial", "serial"),
     ] {
         if snap.counters.contains_key(counter) {
@@ -160,7 +193,7 @@ fn repeated_render(rows: usize) -> String {
             .sort(vec![SortKey::desc("V"), SortKey::asc("G")])
             .limit(50),
     ];
-    let cfg = ExecConfig::columnar();
+    let cfg = ExecConfig::default();
     let render = |cfg: &ExecConfig| {
         for plan in &widgets {
             let _ = execute_with(plan, &cat, cfg).expect("bench plan executes");
@@ -226,12 +259,11 @@ fn deep_plan_bench(rows: usize) -> String {
                 AggItem::new("total", bi_core::query::AggFunc::Sum, "V"),
             ],
         );
-    let columnar = ExecConfig::with_threads(1)
-        .with_columnar(true)
-        .with_pipeline(false);
-    let fused = ExecConfig::with_threads(1).with_columnar(true);
-    let (c_ms, c_out) = time_plan(&plan, &cat, &columnar);
-    let (p_ms, p_out) = time_plan(&plan, &cat, &fused);
+    let columnar = ExecConfig::default().with_pipeline(false);
+    let fused = ExecConfig::default();
+    let c_out = execute_with(&plan, &cat, &columnar).expect("bench plan executes");
+    let (ms, p_out) = time_configs(&plan, &cat, &[&columnar, &fused]);
+    let (c_ms, p_ms) = (ms[0], ms[1]);
     assert_eq!(
         c_out.rows(),
         p_out.rows(),
@@ -267,7 +299,8 @@ fn main() {
     } else {
         &[10_000, 100_000, 1_000_000]
     };
-    let serial = ExecConfig::serial();
+    let oracle = ExecConfig::row_oracle();
+    let one_thread = ExecConfig::default();
     let cores = std::thread::available_parallelism()
         .map(|n| n.get())
         .unwrap_or(1);
@@ -298,41 +331,45 @@ fn main() {
         let cat = catalog(rows);
         let mut op_entries = Vec::new();
         for (name, plan, materialize) in ops {
-            let (s_ms, s_out) = time_plan(plan, &cat, &serial);
+            let expected = execute_with(plan, &cat, &oracle).expect("bench plan executes");
+            // The one-thread baseline is timed once per op and is the
+            // sweep's 1-thread point; each larger thread count is timed
+            // against it again, interleaved, for its speedup.
+            let (ms, base_out) = time_configs(plan, &cat, &[&one_thread]);
+            let b_ms = ms[0];
             let mut thread_entries = Vec::new();
             for n in THREAD_COUNTS {
                 let cfg = ExecConfig::with_threads(n);
                 let choice = plan_choice(plan, &cat, &cfg);
-                // A planner-serial point runs the very serial code just
-                // measured; re-timing it would only report noise.
-                let (p_ms, speedup) = if choice == "parallel" {
-                    let (p_ms, p_out) = time_plan(plan, &cat, &cfg);
-                    assert_eq!(
-                        s_out.rows(),
-                        p_out.rows(),
-                        "{name}@{rows}x{n}: outputs diverge"
-                    );
-                    assert_eq!(
-                        s_out.name(),
-                        p_out.name(),
-                        "{name}@{rows}x{n}: names diverge"
-                    );
-                    (p_ms, s_ms / p_ms)
+                let (base_ms, p_ms, p_out) = if n == 1 {
+                    (b_ms, b_ms, base_out.clone())
                 } else {
-                    (s_ms, 1.0)
+                    let (ms, out) = time_configs(plan, &cat, &[&one_thread, &cfg]);
+                    (ms[0], ms[1], out)
                 };
+                assert_eq!(
+                    expected.rows(),
+                    p_out.rows(),
+                    "{name}@{rows}x{n}: outputs diverge from the row oracle"
+                );
+                assert_eq!(
+                    expected.name(),
+                    p_out.name(),
+                    "{name}@{rows}x{n}: names diverge from the row oracle"
+                );
+                let speedup = base_ms / p_ms;
                 eprintln!(
-                    "{rows:>8} rows  {name:<9} serial {s_ms:8.3} ms  {n} thread(s) {p_ms:8.3} ms  \
+                    "{rows:>8} rows  {name:<9} 1 thread {base_ms:8.3} ms  {n} thread(s) {p_ms:8.3} ms  \
                      x{speedup:.2}  [{choice}]"
                 );
                 thread_entries.push(format!(
-                    r#"{{"threads":{n},"ms":{p_ms:.4},"rows_per_s":{:.0},"speedup":{speedup:.3},"choice":"{choice}"}}"#,
+                    r#"{{"threads":{n},"ms":{p_ms:.4},"base_ms":{base_ms:.4},"rows_per_s":{:.0},"speedup":{speedup:.3},"choice":"{choice}"}}"#,
                     throughput(rows, p_ms)
                 ));
             }
             op_entries.push(format!(
-                r#"{{"op":"{name}","materialize":{materialize},"serial_ms":{s_ms:.4},"serial_rows_per_s":{:.0},"by_threads":[{}]}}"#,
-                throughput(rows, s_ms),
+                r#"{{"op":"{name}","materialize":{materialize},"one_thread_ms":{b_ms:.4},"one_thread_rows_per_s":{:.0},"by_threads":[{}]}}"#,
+                throughput(rows, b_ms),
                 thread_entries.join(",")
             ));
         }

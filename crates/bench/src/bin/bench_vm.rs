@@ -7,15 +7,15 @@
 //! times the recursive walker (per-row `Expr::eval`), the VM
 //! (`filter_scalar` / `project_scalar`, single thread so the speedup is
 //! purely algorithmic) and — where the predicate vectorizes — the
-//! columnar selection-vector kernels, verifying all backends produce
+//! columnar selection-vector kernels, timed in alternation (median of
+//! each), verifying all backends produce
 //! identical output and writing `BENCH_vm.json` for
 //! `scripts/bench_smoke.sh`.
 //!
 //! Usage: `cargo run --release -p bi-bench --bin bench_vm --
 //! [--full] [--out PATH]`. `--full` adds a 1M-row size.
 
-use std::time::Instant;
-
+use bi_bench::median_interleaved;
 use bi_core::exec::ExecConfig;
 use bi_core::relation::expr::{col, lit};
 use bi_core::relation::{filter_columnar, filter_scalar, project_scalar, BinOp, Expr, Table};
@@ -56,18 +56,6 @@ fn fact(rows: usize) -> Table {
         })
         .collect();
     Table::from_rows("Fact", schema, data).expect("rows match the schema")
-}
-
-/// Best-of-N wall time in milliseconds for `f`, plus its last output.
-fn time_best<T>(iters: usize, mut f: impl FnMut() -> T) -> (f64, T) {
-    let mut out = f(); // untimed warm-up
-    let mut best = f64::INFINITY;
-    for _ in 0..iters.max(1) {
-        let t0 = Instant::now();
-        out = f();
-        best = best.min(t0.elapsed().as_secs_f64() * 1e3);
-    }
-    (best, out)
 }
 
 /// The retained recursive walker, run row by row — the legacy path
@@ -123,8 +111,8 @@ fn main() {
     } else {
         &[10_000, 100_000]
     };
-    let cfg = ExecConfig::serial();
-    let col_cfg = ExecConfig::columnar();
+    let cfg = ExecConfig::row_oracle();
+    let col_cfg = ExecConfig::default();
     let cores = std::thread::available_parallelism()
         .map(|n| n.get())
         .unwrap_or(1);
@@ -175,44 +163,62 @@ fn main() {
     let mut size_entries = Vec::new();
     for &rows in sizes {
         let t = fact(rows);
-        let iters = if rows >= 1_000_000 { 2 } else { 5 };
+        let rounds = if rows >= 1_000_000 { 3 } else { 15 };
         let mut op_entries = Vec::new();
 
         let mut results: Vec<OpResult> = Vec::new();
         for (op, pred) in [("filter", &filter_pred), ("obligation", &obligation_pred)] {
-            let (ast_ms, ast_out) = time_best(iters, || ast_filter(&t, pred));
-            let (vm_ms, vm_out) = time_best(iters, || {
-                filter_scalar(&t, pred, &cfg).expect("bench filter executes")
-            });
+            let vm = || filter_scalar(&t, pred, &cfg).expect("bench filter executes");
+            let (mut ast_out, mut vm_out) = (ast_filter(&t, pred), vm());
+            let vectorizes = filter_columnar(&t, pred, &col_cfg).is_some();
+            let mut col_out = None;
+            let ms = if vectorizes {
+                median_interleaved(
+                    rounds,
+                    &mut [
+                        &mut || ast_out = ast_filter(&t, pred),
+                        &mut || vm_out = vm(),
+                        &mut || col_out = filter_columnar(&t, pred, &col_cfg),
+                    ],
+                )
+            } else {
+                median_interleaved(
+                    rounds,
+                    &mut [&mut || ast_out = ast_filter(&t, pred), &mut || {
+                        vm_out = vm()
+                    }],
+                )
+            };
             assert_eq!(
                 ast_out.rows(),
                 vm_out.rows(),
                 "{op}@{rows}: VM diverges from the walker"
             );
-            let columnar_ms = filter_columnar(&t, pred, &col_cfg).map(|first| {
-                let (ms, out) = time_best(iters, || {
-                    filter_columnar(&t, pred, &col_cfg).expect("columnar path compiled once")
-                });
-                assert_eq!(first.rows(), out.rows(), "{op}@{rows}: columnar unstable");
+            if let Some(out) = &col_out {
                 assert_eq!(
                     ast_out.rows(),
                     out.rows(),
                     "{op}@{rows}: columnar diverges from the walker"
                 );
-                ms
-            });
+            }
             results.push(OpResult {
                 op,
-                ast_ms,
-                vm_ms,
-                columnar_ms,
+                ast_ms: ms[0],
+                vm_ms: ms[1],
+                columnar_ms: ms.get(2).copied(),
             });
         }
         {
-            let (ast_ms, ast_out) = time_best(iters, || ast_project(&t, &project_items));
-            let (vm_ms, vm_out) = time_best(iters, || {
-                project_scalar(&t, &project_items, &cfg).expect("bench projection executes")
-            });
+            let vm =
+                || project_scalar(&t, &project_items, &cfg).expect("bench projection executes");
+            let (mut ast_out, mut vm_out) = (ast_project(&t, &project_items), vm());
+            let ms = median_interleaved(
+                rounds,
+                &mut [
+                    &mut || ast_out = ast_project(&t, &project_items),
+                    &mut || vm_out = vm(),
+                ],
+            );
             assert_eq!(
                 ast_out.as_slice(),
                 vm_out.rows(),
@@ -220,8 +226,8 @@ fn main() {
             );
             results.push(OpResult {
                 op: "project",
-                ast_ms,
-                vm_ms,
+                ast_ms: ms[0],
+                vm_ms: ms[1],
                 columnar_ms: None,
             });
         }

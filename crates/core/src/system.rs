@@ -1341,6 +1341,28 @@ impl BiSystem {
                             sys.table_source.insert(name.clone(), first.clone());
                         }
                         sys.table_sources_all.insert(name.clone(), t.sources);
+                        if sys.warehouse.data_version(&name) == Some(t.version) {
+                            // The live commit kept this table's storage
+                            // (an identity reload, or one that dropped no
+                            // rows), so its data version did not move.
+                            // Replay keeps the live storage too — loading
+                            // the decoded copy would bump the version —
+                            // but only if the logged rows are the live ones.
+                            let unchanged = sys
+                                .warehouse
+                                .catalog()
+                                .table(&name)
+                                .is_some_and(|live| *live == t.table);
+                            if !unchanged {
+                                return Err(WalError::Replay {
+                                    message: format!(
+                                        "{name} logged at its live data version {} with different rows",
+                                        t.version
+                                    ),
+                                });
+                            }
+                            continue;
+                        }
                         sys.warehouse.load_table(t.table);
                         // Replayed loads must reassign the journaled
                         // data versions, or every provenance reference
@@ -1725,7 +1747,7 @@ mod tests {
     fn check_program_cache_hits_and_invalidates() {
         let mut sys = build_system();
         let obs = bi_exec::Obs::enabled();
-        sys.engine_mut().exec = bi_exec::ExecConfig::serial().with_obs(obs.clone());
+        sys.engine_mut().exec = bi_exec::ExecConfig::default().with_obs(obs.clone());
         sys.define_report(ReportSpec::new(
             "r-consumption",
             "Drug consumption",

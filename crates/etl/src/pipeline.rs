@@ -183,7 +183,7 @@ pub fn run_pipeline(
     policy: Option<&CombinedPolicy>,
     today: Date,
 ) -> Result<EtlReport, EtlError> {
-    run_pipeline_with(pipeline, sources, policy, today, &ExecConfig::serial())
+    run_pipeline_with(pipeline, sources, policy, today, &ExecConfig::default())
 }
 
 /// [`run_pipeline`] with an execution configuration: combining steps

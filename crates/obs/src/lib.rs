@@ -169,12 +169,10 @@ counters! {
     /// Version-keyed column cache built and stored a chunk column
     /// (strategy counter — excluded from snapshot equality).
     ChunkCacheMiss => "chunk.cache.miss",
-    /// Cost model ran an operator on the serial row engine (strategy
-    /// counter — excluded from snapshot equality).
+    /// An operator ran on the serial row engine — the config asked for
+    /// it, or a columnar kernel declined (strategy counter — excluded
+    /// from snapshot equality).
     PlanChoiceSerial => "plan.choice.serial",
-    /// Cost model ran an operator morsel-parallel (strategy counter —
-    /// excluded from snapshot equality).
-    PlanChoiceParallel => "plan.choice.parallel",
     /// A vectorized columnar kernel served an operator (strategy
     /// counter — excluded from snapshot equality).
     PlanChoiceColumnar => "plan.choice.columnar",
@@ -665,7 +663,7 @@ mod tests {
         a.count(Counter::ChunkCacheHit);
         b.add(Counter::ChunkCacheMiss, 3);
         a.count(Counter::PlanChoiceSerial);
-        b.count(Counter::PlanChoiceParallel);
+        b.count(Counter::PlanChoiceColumnar);
         assert_eq!(a.snapshot(), b.snapshot());
         // Workload counters still distinguish.
         b.count(Counter::QueryAggregate);

@@ -1,79 +1,12 @@
-//! Per-operator engine selection.
+//! Per-chain pipeline selection.
 //!
-//! PR 3 gated parallelism on a single row threshold and whatever
-//! `ExecConfig::threads` said. That regressed badly on hosts with fewer
-//! cores than the configured thread count: every partitioned operator
-//! paid fan-out, hashing into `threads × 4` partitions, and reassembly
-//! for zero real concurrency (BENCH_parallel.json recorded joins at
-//! 0.74×–0.90× and aggregates at 0.40×–0.51× on a 1-core runner).
-//!
-//! This module is the fix: a small, *pure* cost model that picks an
-//! engine per operator from
-//!
-//! * input row counts,
-//! * estimated group cardinality (for aggregation), and
-//! * **effective** hardware parallelism — `threads` clamped by
-//!   [`bi_exec::effective_parallelism`] unless the config pins them.
-//!
-//! The decision functions take every input as a plain argument, so unit
-//! tests pin exact decisions at known points regardless of the host the
-//! tests run on. The executor counts each decision
-//! (`plan.choice.{serial,parallel,columnar}`) so benches and production
-//! deployments can see what the planner actually chose.
-//!
-//! The serial row engine remains the oracle: whichever engine the model
-//! picks must produce byte-identical rows, so a wrong *cost* guess can
-//! only ever cost time, never correctness.
-
-/// Inputs smaller than this stay on the serial operators even when
-/// threads are available: below it, partitioning overhead dominates.
-pub const PARALLEL_ROW_THRESHOLD: usize = 4096;
-
-/// Rows sampled (strided across the input) to estimate group
-/// cardinality before choosing an aggregation engine.
-pub const CARDINALITY_SAMPLE: usize = 1024;
-
-/// Which engine executes a relational operator.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum EngineChoice {
-    /// Single-threaded row engine — the byte-identity oracle.
-    Serial,
-    /// Partitioned build + morsel-driven probe/grouping.
-    Parallel,
-}
-
-/// Engine for a hash join over `left_rows ⋈ right_rows`.
-///
-/// Parallel pays off only when there is real concurrency to buy
-/// (`effective_threads > 1`) and enough rows to amortize partitioning.
-pub fn join_choice(left_rows: usize, right_rows: usize, effective_threads: usize) -> EngineChoice {
-    if effective_threads > 1 && left_rows + right_rows >= PARALLEL_ROW_THRESHOLD {
-        EngineChoice::Parallel
-    } else {
-        EngineChoice::Serial
-    }
-}
-
-/// Engine for a grouped aggregation of `rows` into an estimated
-/// `est_groups` groups.
-///
-/// Beyond the thread/row-count gates of [`join_choice`], high-cardinality
-/// keys stay serial: when nearly every row opens its own group (average
-/// group size below two), the partitioned engine's per-group costs —
-/// hashing rows into partitions, slot maps, the global first-appearance
-/// sort, per-group aggregate dispatch — scale with `rows` while the
-/// aggregation work per group is a single-element fold. The serial
-/// engine's one hash pass wins that shape at any thread count.
-pub fn aggregate_choice(rows: usize, est_groups: usize, effective_threads: usize) -> EngineChoice {
-    if effective_threads > 1
-        && rows >= PARALLEL_ROW_THRESHOLD
-        && est_groups.saturating_mul(2) <= rows
-    {
-        EngineChoice::Parallel
-    } else {
-        EngineChoice::Serial
-    }
-}
+//! Every operator runs on the default engine — the columnar kernels
+//! and fused morsel pipelines — and falls back to the serial row engine
+//! only when a kernel declines. The one planning decision left is
+//! whether a chain of fusible operators is worth fusing; it is a pure
+//! function of the chain's shape, so unit tests pin it hostlessly. The
+//! executor counts every decision (`plan.choice.{serial,columnar,
+//! pipeline}`) so benches and deployments see what actually ran.
 
 /// Whether to fuse an operator chain into a single-pass pipeline or
 /// materialize between operators.
@@ -104,55 +37,9 @@ pub fn pipeline_choice(fused_ops: usize) -> PipelineChoice {
     }
 }
 
-/// Scales a sample's distinct count to the whole input.
-///
-/// When the sample is mostly distinct (`2 × distinct ≥ sampled`) the key
-/// is taken as high-cardinality and the estimate saturates at `rows` —
-/// a strided sample that keeps producing fresh keys gives no evidence of
-/// reuse, and guessing low would re-introduce the regression this model
-/// exists to fix. Otherwise the sample's distinct ratio is applied
-/// linearly; that overestimates small fixed domains (every group was
-/// already seen), which is harmless — it only ever pushes *toward*
-/// serial.
-pub fn scale_cardinality(distinct: usize, sampled: usize, rows: usize) -> usize {
-    if sampled == 0 {
-        return 0;
-    }
-    if distinct * 2 >= sampled {
-        rows
-    } else {
-        (distinct * rows / sampled).max(distinct)
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
-
-    #[test]
-    fn joins_need_threads_and_rows() {
-        assert_eq!(join_choice(100_000, 400, 1), EngineChoice::Serial);
-        assert_eq!(join_choice(100_000, 400, 8), EngineChoice::Parallel);
-        assert_eq!(join_choice(100, 50, 8), EngineChoice::Serial);
-        // The threshold counts both sides.
-        assert_eq!(join_choice(2048, 2048, 2), EngineChoice::Parallel);
-        assert_eq!(join_choice(2048, 2047, 2), EngineChoice::Serial);
-    }
-
-    #[test]
-    fn high_cardinality_aggregation_stays_serial() {
-        // ~37 groups over 100k rows: clearly parallel.
-        assert_eq!(aggregate_choice(100_000, 370, 8), EngineChoice::Parallel);
-        // Every row its own group: serial at any thread count.
-        assert_eq!(aggregate_choice(100_000, 100_000, 8), EngineChoice::Serial);
-        assert_eq!(aggregate_choice(100_000, 100_000, 64), EngineChoice::Serial);
-        // Boundary: average group size exactly two still goes parallel.
-        assert_eq!(aggregate_choice(100_000, 50_000, 8), EngineChoice::Parallel);
-        assert_eq!(aggregate_choice(100_000, 50_001, 8), EngineChoice::Serial);
-        // Small inputs and single-threaded hosts never partition.
-        assert_eq!(aggregate_choice(100, 2, 8), EngineChoice::Serial);
-        assert_eq!(aggregate_choice(100_000, 370, 1), EngineChoice::Serial);
-    }
 
     #[test]
     fn pipelines_fuse_only_real_chains() {
@@ -162,17 +49,5 @@ mod tests {
         // Filter→Aggregate and deeper: fuse.
         assert_eq!(pipeline_choice(2), PipelineChoice::Fuse);
         assert_eq!(pipeline_choice(5), PipelineChoice::Fuse);
-    }
-
-    #[test]
-    fn cardinality_scaling_saturates_when_sample_is_distinct() {
-        // Mostly-distinct sample: assume worst case.
-        assert_eq!(scale_cardinality(1024, 1024, 100_000), 100_000);
-        assert_eq!(scale_cardinality(600, 1024, 100_000), 100_000);
-        // Heavy reuse: linear scale of the observed ratio.
-        assert_eq!(scale_cardinality(37, 1024, 100_000), 3_613);
-        // Never below what was actually observed.
-        assert_eq!(scale_cardinality(10, 1024, 500), 10);
-        assert_eq!(scale_cardinality(0, 0, 10), 0);
     }
 }

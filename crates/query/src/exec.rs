@@ -5,19 +5,17 @@
 //! aggregation groups by hashing. This is the execution substrate under
 //! ETL, warehouse loading, and enforced report rendering.
 //!
-//! [`execute_with`] takes a [`bi_exec::ExecConfig`], but the config's
-//! knobs are requests, not commands: a per-operator cost model
-//! ([`crate::cost`]) picks serial, morsel-parallel, or columnar
-//! execution from input row counts, estimated group cardinality, and
-//! *effective* hardware parallelism (`threads` clamped by the host's
-//! core count unless pinned). Parallel operators — partitioned join
-//! build + morsel-driven probe, hash-partitioned grouping — reassemble
-//! in morsel/first-appearance order so the result (rows *and* row
-//! order) is identical to the serial engine at any thread count. Every
-//! decision is counted (`plan.choice.{serial,parallel,columnar}`).
+//! [`execute_with`] takes a [`bi_exec::ExecConfig`]; [`execute`] runs
+//! the default one. Operators first try columnar kernels and fused
+//! morsel pipelines ([`crate::pipeline`]), and fall back to the serial
+//! row engine when a kernel declines; [`bi_exec::ExecConfig::row_oracle`]
+//! runs the row engine alone. All operator parallelism goes through the
+//! columnar and pipeline morsel paths, which reassemble in morsel order
+//! so the result (rows *and* row order) is identical to the row engine
+//! at any thread count. Every decision is counted
+//! (`plan.choice.{serial,columnar,pipeline}`).
 //!
-//! With `ExecConfig::columnar` set, operators first try columnar
-//! kernels: filters compile to vectorized predicates over
+//! In the columnar kernels, filters compile to vectorized predicates over
 //! [`bi_relation::ColumnChunk`]s, equality joins (any key count) hash
 //! `u64` keyspaces (dictionary codes for text — one string lookup per
 //! *distinct* value, pure integer compares per row), group-bys use
@@ -43,16 +41,16 @@ use bi_relation::Table;
 use bi_types::{Schema, Value};
 
 use crate::catalog::Catalog;
-use crate::cost::{self, EngineChoice, CARDINALITY_SAMPLE, PARALLEL_ROW_THRESHOLD};
 use crate::error::QueryError;
 use crate::plan::{agg_output_type, AggFunc, AggItem, JoinKind, Plan, SortKey};
 
-/// Executes a plan against a catalog. Views are resolved transparently.
+/// Executes a plan against a catalog on the default engine. Views are
+/// resolved transparently.
 pub fn execute(plan: &Plan, cat: &Catalog) -> Result<Table, QueryError> {
-    execute_with(plan, cat, &ExecConfig::serial())
+    execute_with(plan, cat, &ExecConfig::default())
 }
 
-/// Executes a plan with the given parallelism configuration.
+/// Executes a plan with the given engine and parallelism configuration.
 pub fn execute_with(plan: &Plan, cat: &Catalog, cfg: &ExecConfig) -> Result<Table, QueryError> {
     let _span = cfg.obs.span(bi_exec::SpanKind::QueryExecute);
     exec_guarded(plan, cat, cfg, &mut Vec::new())
@@ -322,17 +320,13 @@ fn join_with(
             return Ok(out);
         }
     }
-    match cost::join_choice(left.len(), right.len(), cfg.effective_threads()) {
-        EngineChoice::Serial => {
-            cfg.obs.count(Counter::PlanChoiceSerial);
-            join(left, right, kind, on, right_prefix, cfg)
-        }
-        EngineChoice::Parallel => {
-            cfg.obs.count(Counter::PlanChoiceParallel);
-            join_parallel(left, right, kind, on, right_prefix, cfg)
-        }
-    }
+    cfg.obs.count(Counter::PlanChoiceSerial);
+    join(left, right, kind, on, right_prefix, cfg)
 }
+
+/// One join-key column encoded into a shared `u64` keyspace, `None` per
+/// NULL row.
+type KeyCodes = Vec<Option<u64>>;
 
 /// Encodes one side's join-key column into a `u64` keyspace shared by
 /// both sides, `None` per row for NULL (never matches). Returns `None`
@@ -341,7 +335,7 @@ fn join_with(
 /// `float_space` selects `f64` `float_key` encoding — required whenever
 /// the *other* side is a Float column, because `Int(a) = Float(b)`
 /// compares in `f64` space (mirroring `Value::cmp`).
-fn join_keys_u64(col: &bi_relation::ChunkColumn, float_space: bool) -> Option<Vec<Option<u64>>> {
+fn join_keys_u64(col: &bi_relation::ChunkColumn, float_space: bool) -> Option<KeyCodes> {
     use bi_relation::ColumnData;
     let v = &col.validity;
     let mk = |i: usize, raw: u64| if v.is_null(i) { None } else { Some(raw) };
@@ -430,7 +424,7 @@ where
 fn encode_key_pair(
     lcol: &bi_relation::ChunkColumn,
     rcol: &bi_relation::ChunkColumn,
-) -> Option<(Vec<Option<u64>>, Vec<Option<u64>>)> {
+) -> Option<(KeyCodes, KeyCodes)> {
     use bi_relation::ColumnData;
     if let (
         ColumnData::Text {
@@ -637,8 +631,8 @@ fn join_columnar(
     // Multi-key: composite keys from per-pair u64 encodings. A NULL in
     // any position disqualifies the row (SQL equality), matching the
     // serial build/probe exactly.
-    let mut lenc: Vec<Vec<Option<u64>>> = Vec::with_capacity(on.len());
-    let mut renc: Vec<Vec<Option<u64>>> = Vec::with_capacity(on.len());
+    let mut lenc: Vec<KeyCodes> = Vec::with_capacity(on.len());
+    let mut renc: Vec<KeyCodes> = Vec::with_capacity(on.len());
     for (&lk, &rk) in lks.iter().zip(&rks) {
         let (Some(lcol), Some(rcol)) = (lchunk.column(lk), rchunk.column(rk)) else {
             cfg.obs.count(Counter::ColumnarJoinDeclineShape);
@@ -653,9 +647,8 @@ fn join_columnar(
     }
     cfg.obs.count(Counter::ColumnarJoinHit);
     let build_span = cfg.obs.span(bi_exec::SpanKind::QueryJoinBuild);
-    let composite = |encs: &[Vec<Option<u64>>], i: usize| -> Option<Vec<u64>> {
-        encs.iter().map(|e| e[i]).collect()
-    };
+    let composite =
+        |encs: &[KeyCodes], i: usize| -> Option<Vec<u64>> { encs.iter().map(|e| e[i]).collect() };
     let mut index: std::collections::HashMap<Vec<u64>, Vec<u32>> = std::collections::HashMap::new();
     for i in 0..right.len() {
         if let Some(key) = composite(&renc, i) {
@@ -735,113 +728,6 @@ fn join(
     Ok(out)
 }
 
-/// Partitioned hash-join build + morsel-driven probe.
-///
-/// Build: the right side is scanned in parallel morsels, each emitting
-/// `(partition, row index)` pairs; per-partition hash maps are then
-/// built in parallel, with the morsel outputs visited in morsel order so
-/// every per-key match list stays ascending — exactly the insertion
-/// order of the serial build. Probe: left morsels probe independently
-/// (each partition map is read-only by then) and their output row blocks
-/// are concatenated in morsel order, so the final row order equals the
-/// serial nested emit.
-fn join_parallel(
-    left: &Table,
-    right: &Table,
-    kind: JoinKind,
-    on: &[(String, String)],
-    right_prefix: &str,
-    cfg: &ExecConfig,
-) -> Result<Table, QueryError> {
-    use std::collections::HashMap;
-    let schema = join_schema(left, right, kind, right_prefix)?;
-    let left_keys: Vec<usize> = on
-        .iter()
-        .map(|(l, _)| left.schema().index_of(l))
-        .collect::<Result<_, _>>()?;
-    let right_keys: Vec<usize> = on
-        .iter()
-        .map(|(_, r)| right.schema().index_of(r))
-        .collect::<Result<_, _>>()?;
-
-    let p = bi_exec::partition_count(cfg);
-    let key_of = |row: &[Value], keys: &[usize]| -> Vec<Value> {
-        keys.iter().map(|&c| row[c].clone()).collect()
-    };
-
-    // Build phase 1: morsel-parallel partitioning of the right side.
-    let build_span = cfg.obs.span(bi_exec::SpanKind::QueryJoinBuild);
-    let partitioned: Vec<Vec<Vec<usize>>> =
-        bi_exec::par_chunks(cfg, right.rows(), bi_exec::MORSEL_ROWS, |offset, chunk| {
-            let mut parts: Vec<Vec<usize>> = vec![Vec::new(); p];
-            for (i, row) in chunk.iter().enumerate() {
-                let key = key_of(row, &right_keys);
-                if key.iter().any(Value::is_null) {
-                    continue;
-                }
-                parts[(bi_exec::stable_hash(&key) as usize) & (p - 1)].push(offset + i);
-            }
-            parts
-        });
-
-    // Build phase 2: one hash map per partition, built in parallel.
-    let part_ids: Vec<usize> = (0..p).collect();
-    let indexes: Vec<HashMap<Vec<Value>, Vec<usize>>> = bi_exec::par_map(cfg, &part_ids, |&pi| {
-        let mut index: HashMap<Vec<Value>, Vec<usize>> = HashMap::new();
-        for morsel in &partitioned {
-            for &ri in &morsel[pi] {
-                index
-                    .entry(key_of(&right.rows()[ri], &right_keys))
-                    .or_default()
-                    .push(ri);
-            }
-        }
-        index
-    });
-    drop(build_span);
-
-    // Probe: morsel-driven over the left side.
-    let _probe_span = cfg.obs.span(bi_exec::SpanKind::QueryJoinProbe);
-    let right_width = right.schema().len();
-    let blocks: Vec<Vec<Vec<Value>>> =
-        bi_exec::par_chunks(cfg, left.rows(), bi_exec::MORSEL_ROWS, |_, chunk| {
-            let mut rows: Vec<Vec<Value>> = Vec::new();
-            for lrow in chunk {
-                let key = key_of(lrow, &left_keys);
-                let matches: &[usize] = if key.iter().any(Value::is_null) {
-                    &[]
-                } else {
-                    indexes[(bi_exec::stable_hash(&key) as usize) & (p - 1)]
-                        .get(&key)
-                        .map(Vec::as_slice)
-                        .unwrap_or(&[])
-                };
-                if matches.is_empty() {
-                    if kind == JoinKind::Left {
-                        let mut row = lrow.clone();
-                        row.extend(std::iter::repeat_n(Value::Null, right_width));
-                        rows.push(row);
-                    }
-                    continue;
-                }
-                for &ri in matches {
-                    let mut row = lrow.clone();
-                    row.extend(right.rows()[ri].iter().cloned());
-                    rows.push(row);
-                }
-            }
-            rows
-        });
-    let rows: Vec<Vec<Value>> = blocks.into_iter().flatten().collect();
-    // Probe outputs splice two validated tables under the joined schema;
-    // re-validating every row would cost O(rows × cols) for nothing.
-    Ok(Table::from_rows_trusted(
-        join_output_name(left, right),
-        schema,
-        rows,
-    ))
-}
-
 fn aggregate_with(
     input: &Table,
     group_by: &[String],
@@ -849,59 +735,16 @@ fn aggregate_with(
     cfg: &ExecConfig,
 ) -> Result<Table, QueryError> {
     use bi_exec::Counter;
-    // Global aggregates accumulate floats in row order (`Avg`, float
-    // `Sum`); chunked partial aggregation would change the rounding, so
-    // only grouped aggregation goes parallel — each group still
-    // accumulates its own rows in row order.
+    // Global aggregates have no keys to group on; they stay on the row
+    // engine (or fuse into a pipeline sink upstream of here).
     if cfg.columnar && !group_by.is_empty() {
         if let Some(out) = aggregate_columnar(input, group_by, aggs, cfg)? {
             cfg.obs.count(Counter::PlanChoiceColumnar);
             return Ok(out);
         }
     }
-    let eff = cfg.effective_threads();
-    let choice = if group_by.is_empty() || eff <= 1 || input.len() < PARALLEL_ROW_THRESHOLD {
-        EngineChoice::Serial
-    } else if let Some(est) = estimate_groups(input, group_by) {
-        cost::aggregate_choice(input.len(), est, eff)
-    } else {
-        // A group-by column failed to resolve; the serial path surfaces
-        // the error in the same order the parallel engine would.
-        EngineChoice::Serial
-    };
-    match choice {
-        EngineChoice::Serial => {
-            cfg.obs.count(Counter::PlanChoiceSerial);
-            aggregate(input, group_by, aggs)
-        }
-        EngineChoice::Parallel => {
-            cfg.obs.count(Counter::PlanChoiceParallel);
-            aggregate_parallel(input, group_by, aggs, cfg)
-        }
-    }
-}
-
-/// Estimated group cardinality from a strided sample of the key
-/// columns, scaled by [`cost::scale_cardinality`]. `None` when a key
-/// column does not resolve (the caller falls back to the serial engine,
-/// which surfaces the error). O([`CARDINALITY_SAMPLE`]) regardless of
-/// input size.
-fn estimate_groups(input: &Table, group_by: &[String]) -> Option<usize> {
-    let key_idx: Vec<usize> = group_by
-        .iter()
-        .map(|g| input.schema().index_of(g).ok())
-        .collect::<Option<_>>()?;
-    let n = input.len();
-    let stride = (n / CARDINALITY_SAMPLE).max(1);
-    let mut seen: std::collections::HashSet<Vec<&Value>> = std::collections::HashSet::new();
-    let mut sampled = 0usize;
-    let mut i = 0usize;
-    while i < n {
-        seen.insert(key_idx.iter().map(|&c| &input.rows()[i][c]).collect());
-        sampled += 1;
-        i += stride;
-    }
-    Some(cost::scale_cardinality(seen.len(), sampled, n))
+    cfg.obs.count(Counter::PlanChoiceSerial);
+    aggregate(input, group_by, aggs)
 }
 
 /// Columnar group-by, any number of key columns: group keys become
@@ -956,25 +799,34 @@ fn aggregate_columnar(
     // codes in first-appearance order of the (prefix, next) pair. Each
     // fold is one u64-keyed hash pass; after the last, equal codes ⇔
     // equal composite keys and code order = first-appearance order.
-    let (mut codes, mut card) = key_data[0].dense_codes();
+    // Every pass is morsel-parallel with the serial numbering.
+    let (mut codes, mut card) = key_data[0].dense_codes(cfg);
     for key in &key_data[1..] {
-        let (next_codes, next_card) = key.dense_codes();
-        let mut map: std::collections::HashMap<u64, u32> = std::collections::HashMap::new();
-        let mut next = 0u32;
-        for (c, &nc) in codes.iter_mut().zip(&next_codes) {
-            let folded = *c as u64 * next_card as u64 + nc as u64;
-            *c = *map.entry(folded).or_insert_with(|| {
-                let v = next;
-                next += 1;
-                v
-            });
-        }
-        card = next;
+        let (next_codes, next_card) = key.dense_codes(cfg);
+        (codes, card) = bi_relation::column::dense_by(cfg, codes.len(), |i| {
+            Some(codes[i] as u64 * next_card as u64 + next_codes[i] as u64)
+        });
     }
-    let mut groups: Vec<Vec<usize>> = vec![Vec::new(); card as usize];
+    // Counting sort of row indices by code. `bounds[g + 1]` starts as
+    // group `g`'s first slot and is its fill cursor, so after the fill
+    // group `g`'s rows, ascending, are `members[bounds[g]..bounds[g + 1]]`.
+    let mut bounds = vec![0usize; card as usize + 2];
+    for &c in &codes {
+        bounds[c as usize + 2] += 1;
+    }
+    for g in 2..bounds.len() {
+        bounds[g] += bounds[g - 1];
+    }
+    let mut members = vec![0usize; codes.len()];
     for (i, &c) in codes.iter().enumerate() {
-        groups[c as usize].push(i);
+        let slot = &mut bounds[c as usize + 1];
+        members[*slot] = i;
+        *slot += 1;
     }
+    let groups: Vec<&[usize]> = bounds[..=card as usize]
+        .windows(2)
+        .map(|w| &members[w[0]..w[1]])
+        .collect();
 
     // Argument columns for the vectorized kernels, from the same cache.
     // A column that declines conversion only sends *its* aggregates to
@@ -995,8 +847,11 @@ fn aggregate_columnar(
         })
         .collect();
 
-    let mut rows: Vec<Vec<Value>> = Vec::with_capacity(groups.len());
-    for members in &groups {
+    // Groups are independent, so they evaluate in parallel ranges of
+    // group order; each group still folds its members in row order, and
+    // the lowest-range error is the serial loop's first error. A range
+    // spans enough groups to cover about `MIN_PAR_ROWS` member rows.
+    let group_row = |members: &[usize]| -> Result<Vec<Value>, QueryError> {
         // The serial engine emits the *first* row's key values verbatim
         // (matters for Value-equal but distinct bytes, e.g. -0.0/0.0).
         let mut row: Vec<Value> = key_cols
@@ -1015,8 +870,18 @@ fn aggregate_columnar(
                 None => eval_agg(a.func, input, members, *arg)?,
             });
         }
-        rows.push(row);
-    }
+        Ok(row)
+    };
+    let per_range = (groups.len() * bi_relation::column::MIN_PAR_ROWS)
+        .div_ceil(input.len().max(1))
+        .max(groups.len().div_ceil(cfg.effective_threads() * 4));
+    let rows: Vec<Vec<Value>> = bi_exec::try_par_ranges(cfg, groups.len(), per_range, |s, e| {
+        groups[s..e]
+            .iter()
+            .map(|m| group_row(m))
+            .collect::<Result<Vec<_>, QueryError>>()
+    })?
+    .concat();
     Ok(Some(Table::from_rows_trusted(
         input.name().to_string(),
         schema,
@@ -1161,7 +1026,7 @@ fn eval_agg_columnar(
 }
 
 /// Output schema + aggregate argument indices, shared by every
-/// aggregation engine (serial, parallel, columnar, fused pipeline).
+/// aggregation engine (serial, columnar, fused pipeline).
 /// Takes the input *schema* only, so the pipeline can plan a fused
 /// aggregate before the chain below it has produced any table.
 pub(crate) fn aggregate_header(
@@ -1205,83 +1070,6 @@ fn aggregate(input: &Table, group_by: &[String], aggs: &[AggItem]) -> Result<Tab
         out.push_row(row)?;
     }
     Ok(out)
-}
-
-/// Hash-partitioned parallel group-by.
-///
-/// Rows are partitioned by group-key hash in parallel morsels; each
-/// partition then builds its groups by visiting morsel outputs in morsel
-/// order (so row index lists stay ascending). Groups from all partitions
-/// are merged and sorted by first-appearance row index, recovering the
-/// exact group order of the serial engine, and aggregate evaluation
-/// fans out over the groups.
-fn aggregate_parallel(
-    input: &Table,
-    group_by: &[String],
-    aggs: &[AggItem],
-    cfg: &ExecConfig,
-) -> Result<Table, QueryError> {
-    use std::collections::HashMap;
-    let (schema, arg_idx) = aggregate_header(input.schema(), group_by, aggs)?;
-    let key_idx: Vec<usize> = group_by
-        .iter()
-        .map(|g| input.schema().index_of(g))
-        .collect::<Result<_, _>>()?;
-
-    let p = bi_exec::partition_count(cfg);
-    let key_of =
-        |ri: usize| -> Vec<&Value> { key_idx.iter().map(|&c| &input.rows()[ri][c]).collect() };
-
-    // Phase 1: morsel-parallel partitioning by key hash.
-    let partitioned: Vec<Vec<Vec<usize>>> =
-        bi_exec::par_chunks(cfg, input.rows(), bi_exec::MORSEL_ROWS, |offset, chunk| {
-            let mut parts: Vec<Vec<usize>> = vec![Vec::new(); p];
-            for (i, row) in chunk.iter().enumerate() {
-                let key: Vec<&Value> = key_idx.iter().map(|&c| &row[c]).collect();
-                parts[(bi_exec::stable_hash(&key) as usize) & (p - 1)].push(offset + i);
-            }
-            parts
-        });
-
-    // Phase 2: per-partition grouping. Equal keys share a hash and land
-    // in one partition, so partitions group independently. `(first row
-    // index, member rows)` per group; members ascend because morsel
-    // outputs are visited in morsel order.
-    let part_ids: Vec<usize> = (0..p).collect();
-    let by_partition: Vec<Vec<(usize, Vec<usize>)>> = bi_exec::par_map(cfg, &part_ids, |&pi| {
-        let mut slots: HashMap<Vec<&Value>, usize> = HashMap::new();
-        let mut groups: Vec<(usize, Vec<usize>)> = Vec::new();
-        for morsel in &partitioned {
-            for &ri in &morsel[pi] {
-                let slot = *slots.entry(key_of(ri)).or_insert_with(|| {
-                    groups.push((ri, Vec::new()));
-                    groups.len() - 1
-                });
-                groups[slot].1.push(ri);
-            }
-        }
-        groups
-    });
-
-    // Phase 3: global first-appearance order, as the serial engine emits.
-    let mut groups: Vec<(usize, Vec<usize>)> = by_partition.into_iter().flatten().collect();
-    groups.sort_unstable_by_key(|(first, _)| *first);
-
-    // Phase 4: parallel aggregate evaluation per group.
-    let rows: Vec<Vec<Value>> = bi_exec::try_par_map(cfg, &groups, |(first, members)| {
-        let mut row: Vec<Value> = key_of(*first).into_iter().cloned().collect();
-        for (a, arg) in aggs.iter().zip(&arg_idx) {
-            row.push(eval_agg(a.func, input, members, *arg)?);
-        }
-        Ok::<_, QueryError>(row)
-    })?;
-    // Keys come from validated input rows and aggregates are nullable by
-    // schema construction — no re-validation needed.
-    Ok(Table::from_rows_trusted(
-        input.name().to_string(),
-        schema,
-        rows,
-    ))
 }
 
 fn eval_agg(
@@ -1387,6 +1175,11 @@ mod tests {
     use crate::catalog::tests::paper_catalog;
     use crate::plan::{scan, SortKey};
     use bi_relation::expr::{col, lit};
+
+    /// The row engine alone — the oracle every engine must match.
+    fn oracle(plan: &Plan, cat: &Catalog) -> Result<Table, QueryError> {
+        execute_with(plan, cat, &ExecConfig::row_oracle())
+    }
 
     #[test]
     fn fig4_drug_consumption_report() {
@@ -1578,8 +1371,8 @@ mod tests {
         assert_eq!(t.name(), "Prescriptions⋈DrugCost");
     }
 
-    /// Large synthetic input so join + aggregate actually cross
-    /// [`PARALLEL_ROW_THRESHOLD`] and exercise the partitioned paths.
+    /// Large synthetic input spanning several morsels, so threaded runs
+    /// split join probes and pipeline sinks across workers.
     fn big_catalog(rows: usize) -> Catalog {
         use bi_types::{Column, DataType};
         let fact_schema = Schema::new(vec![
@@ -1629,10 +1422,10 @@ mod tests {
                     AggItem::new("lo", AggFunc::Min, "V"),
                 ],
             );
-        let serial = execute(&plan, &cat).unwrap();
+        let serial = oracle(&plan, &cat).unwrap();
         for threads in [2, 4, 8] {
-            // Pinned: exercise the partitioned engines even on hosts
-            // with fewer cores than `threads`.
+            // Pinned: exercise the morsel workers even on hosts with
+            // fewer cores than `threads`.
             let cfg = ExecConfig::with_threads(threads).with_pinned_threads(true);
             let par = execute_with(&plan, &cat, &cfg).unwrap();
             // Not just the same row set: the same rows in the same order.
@@ -1647,7 +1440,7 @@ mod tests {
         let cat = big_catalog(8_000);
         // Dim covers K ∈ [0, 400); K ∈ [400, 500) pads NULLs.
         let plan = scan("Fact").left_join(scan("Dim"), vec![("K".into(), "K".into())], "d");
-        let serial = execute(&plan, &cat).unwrap();
+        let serial = oracle(&plan, &cat).unwrap();
         let cfg = ExecConfig::with_threads(8).with_pinned_threads(true);
         let par = execute_with(&plan, &cat, &cfg).unwrap();
         assert_eq!(par.rows(), serial.rows());
@@ -1660,12 +1453,12 @@ mod tests {
     #[test]
     fn parallel_aggregate_error_matches_serial() {
         let cat = big_catalog(10_000);
-        // Sum over Text is rejected at schema inference in both engines.
+        // Sum over Text is rejected at schema inference in every engine.
         let plan = scan("Fact").aggregate(
             vec!["G".into()],
             vec![AggItem::new("bad", AggFunc::Sum, "G")],
         );
-        let serial = execute(&plan, &cat).unwrap_err();
+        let serial = oracle(&plan, &cat).unwrap_err();
         let cfg = ExecConfig::with_threads(8).with_pinned_threads(true);
         let par = execute_with(&plan, &cat, &cfg).unwrap_err();
         assert_eq!(par, serial);
@@ -1687,11 +1480,9 @@ mod tests {
                     AggItem::new("hi", AggFunc::Max, "V"),
                 ],
             );
-        let serial = execute(&plan, &cat).unwrap();
+        let serial = oracle(&plan, &cat).unwrap();
         for threads in [1, 2, 8] {
-            let cfg = ExecConfig::with_threads(threads)
-                .with_columnar(true)
-                .with_pinned_threads(true);
+            let cfg = ExecConfig::with_threads(threads).with_pinned_threads(true);
             let par = execute_with(&plan, &cat, &cfg).unwrap();
             assert_eq!(par.schema(), serial.schema(), "threads={threads}");
             assert_eq!(par.rows(), serial.rows(), "threads={threads}");
@@ -1702,7 +1493,7 @@ mod tests {
     #[test]
     fn columnar_text_key_join_matches_serial() {
         let cat = paper_catalog();
-        let cfg = ExecConfig::columnar();
+        let cfg = ExecConfig::default();
         for plan in [
             // Text-key inner join on the paper's tables.
             scan("Prescriptions").join(
@@ -1728,7 +1519,7 @@ mod tests {
                 "p",
             ),
         ] {
-            let serial = execute(&plan, &cat).unwrap();
+            let serial = oracle(&plan, &cat).unwrap();
             let columnar = execute_with(&plan, &cat, &cfg).unwrap();
             assert_eq!(columnar.rows(), serial.rows());
             assert_eq!(columnar.schema(), serial.schema());
@@ -1743,8 +1534,8 @@ mod tests {
             vec!["G".into()],
             vec![AggItem::new("bad", AggFunc::Sum, "G")],
         );
-        let serial = execute(&plan, &cat).unwrap_err();
-        let columnar = execute_with(&plan, &cat, &ExecConfig::columnar()).unwrap_err();
+        let serial = oracle(&plan, &cat).unwrap_err();
+        let columnar = execute_with(&plan, &cat, &ExecConfig::default()).unwrap_err();
         assert_eq!(columnar, serial);
     }
 
@@ -1775,8 +1566,8 @@ mod tests {
             vec![("Drug".to_string(), "NoSuchRight".to_string())],
         ] {
             let p = scan("Prescriptions").join(scan("DrugCost"), on, "dc");
-            let serial = execute(&p, &cat).unwrap_err();
-            let columnar = execute_with(&p, &cat, &ExecConfig::columnar()).unwrap_err();
+            let serial = oracle(&p, &cat).unwrap_err();
+            let columnar = execute_with(&p, &cat, &ExecConfig::default()).unwrap_err();
             assert_eq!(columnar, serial);
         }
     }
@@ -1789,8 +1580,8 @@ mod tests {
         let cat = paper_catalog();
         let p =
             scan("Prescriptions").aggregate(vec!["Ghost".into()], vec![AggItem::count_star("n")]);
-        let serial = execute(&p, &cat).unwrap_err();
-        let columnar = execute_with(&p, &cat, &ExecConfig::columnar()).unwrap_err();
+        let serial = oracle(&p, &cat).unwrap_err();
+        let columnar = execute_with(&p, &cat, &ExecConfig::default()).unwrap_err();
         assert_eq!(columnar, serial);
     }
 
@@ -1801,7 +1592,7 @@ mod tests {
     fn columnar_declines_surface_as_obs_counters() {
         let cat = paper_catalog();
         let obs = bi_exec::Obs::enabled();
-        let cfg = ExecConfig::columnar().with_obs(obs.clone());
+        let cfg = ExecConfig::default().with_obs(obs.clone());
         // A cross-typed key (Text = Int) is outside every join kernel's
         // shape — such keys never compare equal.
         let p = scan("Prescriptions").join(
@@ -1815,7 +1606,7 @@ mod tests {
         let observed = execute_with(&p, &cat, &cfg).unwrap();
         assert_eq!(
             observed,
-            execute(&p, &cat).unwrap(),
+            oracle(&p, &cat).unwrap(),
             "decline falls back byte-identically"
         );
         let snap = obs.snapshot();
@@ -1831,7 +1622,7 @@ mod tests {
     fn columnar_multi_key_join_hits_kernel() {
         let cat = paper_catalog();
         let obs = bi_exec::Obs::enabled();
-        let cfg = ExecConfig::columnar().with_obs(obs.clone());
+        let cfg = ExecConfig::default().with_obs(obs.clone());
         // Two text keys with a NULL (Chris's doctor): NULL in any key
         // position must disqualify the row, as in the serial engine.
         let p = scan("Familydoctor").left_join(
@@ -1843,7 +1634,7 @@ mod tests {
             "p",
         );
         let columnar = execute_with(&p, &cat, &cfg).unwrap();
-        let serial = execute(&p, &cat).unwrap();
+        let serial = oracle(&p, &cat).unwrap();
         assert_eq!(columnar.rows(), serial.rows());
         assert_eq!(columnar.schema(), serial.schema());
         let snap = obs.snapshot();
@@ -1860,8 +1651,8 @@ mod tests {
             vec![("K".into(), "K".into()), ("G".into(), "G".into())],
             "r",
         );
-        let serial = execute(&p, &cat).unwrap();
-        let columnar = execute_with(&p, &cat, &ExecConfig::columnar()).unwrap();
+        let serial = oracle(&p, &cat).unwrap();
+        let columnar = execute_with(&p, &cat, &ExecConfig::default()).unwrap();
         assert_eq!(columnar.rows(), serial.rows());
         assert_eq!(columnar.name(), serial.name());
     }
@@ -1911,10 +1702,10 @@ mod tests {
                 AggItem::new("da", AggFunc::CountDistinct, "A"),
             ],
         );
-        let serial = execute(&plan, &cat).unwrap();
+        let serial = oracle(&plan, &cat).unwrap();
         assert_eq!(serial.len(), 35, "7 × 5 composite groups");
         let obs = bi_exec::Obs::enabled();
-        let cfg = ExecConfig::columnar().with_obs(obs.clone());
+        let cfg = ExecConfig::default().with_obs(obs.clone());
         let columnar = execute_with(&plan, &cat, &cfg).unwrap();
         assert_eq!(columnar.schema(), serial.schema());
         assert_eq!(columnar.rows(), serial.rows());
@@ -1930,56 +1721,20 @@ mod tests {
         let cat = big_catalog(3_000);
         let sort_keys = vec![SortKey::desc("G"), SortKey::asc("V")];
         let sorted = scan("Fact").sort(sort_keys.clone());
-        let serial = execute(&sorted, &cat).unwrap();
+        let serial = oracle(&sorted, &cat).unwrap();
         let obs = bi_exec::Obs::enabled();
-        let cfg = ExecConfig::columnar().with_obs(obs.clone());
+        let cfg = ExecConfig::default().with_obs(obs.clone());
         let columnar = execute_with(&sorted, &cat, &cfg).unwrap();
         assert_eq!(columnar.rows(), serial.rows());
         assert_eq!(columnar.name(), serial.name());
         assert_eq!(obs.snapshot().counters.get("columnar.sort.hit"), Some(&1));
         for limit in [0, 1, 17, 3_000, 5_000] {
             let plan = scan("Fact").sort(sort_keys.clone()).limit(limit);
-            let serial = execute(&plan, &cat).unwrap();
-            let columnar = execute_with(&plan, &cat, &ExecConfig::columnar()).unwrap();
+            let serial = oracle(&plan, &cat).unwrap();
+            let columnar = execute_with(&plan, &cat, &ExecConfig::default()).unwrap();
             assert_eq!(columnar.rows(), serial.rows(), "limit={limit}");
             assert_eq!(columnar.name(), serial.name(), "limit={limit}");
         }
-    }
-
-    /// The regression this PR fixes: partitioning a group-by whose key
-    /// is (nearly) unique per row buys nothing and costs plenty. The
-    /// cost model must pin such aggregations to the serial engine even
-    /// with threads pinned wide open — and still partition genuinely
-    /// low-cardinality keys.
-    #[test]
-    fn planner_pins_serial_for_high_cardinality_keys() {
-        use bi_types::{Column, DataType};
-        let schema = Schema::new(vec![Column::new("Id", DataType::Int)]).unwrap();
-        let rows: Vec<Vec<Value>> = (0..10_000i64).map(|i| vec![Value::Int(i)]).collect();
-        let mut cat = Catalog::new();
-        cat.put_table(Table::from_rows("U", schema, rows).unwrap());
-        let plan = scan("U").aggregate(vec!["Id".into()], vec![AggItem::count_star("n")]);
-        let obs = bi_exec::Obs::enabled();
-        let cfg = ExecConfig::with_threads(8)
-            .with_pinned_threads(true)
-            .with_obs(obs.clone());
-        let t = execute_with(&plan, &cat, &cfg).unwrap();
-        assert_eq!(t.len(), 10_000);
-        let snap = obs.snapshot();
-        assert_eq!(snap.counters.get("plan.choice.serial"), Some(&1));
-        assert_eq!(snap.counters.get("plan.choice.parallel"), None);
-
-        let cat = big_catalog(10_000);
-        let plan = scan("Fact").aggregate(vec!["G".into()], vec![AggItem::count_star("n")]);
-        let obs = bi_exec::Obs::enabled();
-        let cfg = ExecConfig::with_threads(8)
-            .with_pinned_threads(true)
-            .with_obs(obs.clone());
-        execute_with(&plan, &cat, &cfg).unwrap();
-        assert_eq!(
-            obs.snapshot().counters.get("plan.choice.parallel"),
-            Some(&1)
-        );
     }
 
     /// A served columnar operator converts each input exactly once —
@@ -1988,7 +1743,7 @@ mod tests {
     fn columnar_join_converts_each_side_once() {
         let cat = paper_catalog();
         let obs = bi_exec::Obs::enabled();
-        let cfg = ExecConfig::columnar().with_obs(obs.clone());
+        let cfg = ExecConfig::default().with_obs(obs.clone());
         let p = scan("Prescriptions").join(
             scan("DrugCost"),
             vec![("Drug".into(), "Drug".into())],

@@ -157,7 +157,7 @@ mod tests {
     use bi_types::{Column as SchemaColumn, DataType, Schema, Value};
 
     fn observed_cfg() -> ExecConfig {
-        ExecConfig::serial().with_obs(Obs::enabled())
+        ExecConfig::default().with_obs(Obs::enabled())
     }
 
     fn table(rows: &[i64]) -> Table {

@@ -924,7 +924,7 @@ mod tests {
     fn assert_matches_oracle(t: &Table, pred: &Expr) {
         let oracle = t.filter(pred).expect("oracle accepts compiled predicates");
         for threads in [1, 2, 8] {
-            let cfg = ExecConfig::with_threads(threads).with_columnar(true);
+            let cfg = ExecConfig::with_threads(threads);
             let got = filter_columnar(t, pred, &cfg)
                 .unwrap_or_else(|| panic!("predicate should compile: {pred}"));
             assert_eq!(got.rows(), oracle.rows(), "threads={threads} pred={pred}");
@@ -1034,7 +1034,7 @@ mod tests {
     #[test]
     fn unsupported_predicates_decline() {
         let t = table();
-        let cfg = ExecConfig::columnar();
+        let cfg = ExecConfig::default();
         // Functions, arithmetic, and cross-type ordering stay on the row
         // engine.
         let f = Expr::Func(crate::expr::Func::Length, vec![col("name")]).gt(lit(3));
@@ -1050,7 +1050,7 @@ mod tests {
     fn dict_overflow_declines_cleanly() {
         let t = table();
         let pred = col("name").eq(lit("alice"));
-        let cfg = ExecConfig::columnar();
+        let cfg = ExecConfig::default();
         assert!(filter_columnar_with_dict_limit(&t, &pred, &cfg, 2).is_none());
         let full = filter_columnar_with_dict_limit(&t, &pred, &cfg, 4).unwrap();
         assert_eq!(full.rows(), t.filter(&pred).unwrap().rows());

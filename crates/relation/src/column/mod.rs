@@ -34,6 +34,10 @@ use bi_types::{DataType, Date, Schema, Value};
 
 use crate::table::Table;
 
+/// Fewest rows one worker of a morsel-parallel columnar pass takes: a
+/// thread spawn costs as much as coding several thousand rows.
+pub const MIN_PAR_ROWS: usize = 4 * bi_exec::MORSEL_ROWS;
+
 /// Why a table (or column) could not be converted to columnar form.
 /// Every variant is a *decline*, not a failure: callers fall back to the
 /// row-at-a-time engine, which handles all of these.
@@ -255,53 +259,85 @@ impl Column {
     /// Dense first-appearance equivalence codes for this column: two
     /// rows get the same code exactly when their `Value`s are equal
     /// (NULLs form their own class, as `Value::Null == Value::Null`).
-    /// Returns `(codes, cardinality)`. This is the columnar
-    /// quasi-identifier grouping primitive used by `anonymize`.
-    pub fn dense_codes(&self) -> (Vec<u32>, u32) {
+    /// Returns `(codes, cardinality)`, the same at every thread count of
+    /// `cfg` (see [`dense_by`]). This is the columnar grouping primitive
+    /// of group-by and `anonymize`.
+    pub fn dense_codes(&self, cfg: &bi_exec::ExecConfig) -> (Vec<u32>, u32) {
         let n = self.validity.len();
-        let mut codes = vec![0u32; n];
-        let mut next = 0u32;
-        let mut null_code: Option<u32> = None;
-        macro_rules! assign {
-            ($data:expr, $key:expr) => {{
-                let mut map: HashMap<_, u32> = HashMap::new();
-                for (i, v) in $data.iter().enumerate() {
-                    codes[i] = if self.validity.is_null(i) {
-                        *null_code.get_or_insert_with(|| {
-                            let c = next;
-                            next += 1;
-                            c
-                        })
-                    } else {
-                        *map.entry($key(v)).or_insert_with(|| {
-                            let c = next;
-                            next += 1;
-                            c
-                        })
-                    };
-                }
-            }};
-        }
+        let valid = |i: usize| !self.validity.is_null(i);
         match &self.data {
-            ColumnData::Bool(v) => assign!(v, |b: &bool| *b),
-            ColumnData::Int(v) => assign!(v, |i: &i64| *i),
+            ColumnData::Bool(v) => dense_by(cfg, n, |i| valid(i).then(|| v[i])),
+            ColumnData::Int(v) => dense_by(cfg, n, |i| valid(i).then(|| v[i])),
             // float_key replicates Value equality over floats (NaN and
             // -0.0 normalized).
-            ColumnData::Float(v) => assign!(v, |f: &f64| Value::float_key(*f)),
-            ColumnData::Date(v) => assign!(v, |d: &Date| *d),
-            ColumnData::Text {
-                codes: dict_codes,
-                dict: _,
-            } => {
-                // Dictionary codes are already dense equivalence codes;
-                // re-map to keep first-appearance order uniform with the
-                // other branches (a dictionary shared across chunks may
-                // contain codes this column never uses).
-                assign!(dict_codes, |c: &u32| *c)
-            }
+            ColumnData::Float(v) => dense_by(cfg, n, |i| valid(i).then(|| Value::float_key(v[i]))),
+            ColumnData::Date(v) => dense_by(cfg, n, |i| valid(i).then(|| v[i])),
+            // Dictionary codes are already dense equivalence codes;
+            // re-map to keep first-appearance order uniform with the
+            // other branches (a dictionary shared across chunks may
+            // contain codes this column never uses).
+            ColumnData::Text { codes, dict: _ } => dense_by(cfg, n, |i| valid(i).then(|| codes[i])),
         }
-        (codes, next)
     }
+}
+
+/// Dense codes of `key(0..n)` in first-appearance order: equal keys get
+/// equal codes (`None`, the NULL class, is one key), and code `c` opens
+/// before code `c + 1` in row order. Returns `(codes, cardinality)`.
+///
+/// Morsel-parallel: each morsel codes its rows against a local map and
+/// lists its distinct keys in local first-appearance order. Walking the
+/// morsels in row order and their key lists in list order visits every
+/// key's first global appearance before any later key's, so opening
+/// global codes in that walk reproduces the serial numbering exactly;
+/// one pass then translates local codes to global ones. Each worker
+/// takes one morsel of at least [`MIN_PAR_ROWS`] rows (smaller inputs
+/// do not repay a thread spawn); with one morsel nothing is translated.
+pub fn dense_by<K, F>(cfg: &bi_exec::ExecConfig, n: usize, key: F) -> (Vec<u32>, u32)
+where
+    K: std::hash::Hash + Eq + Copy + Send,
+    F: Fn(usize) -> Option<K> + Sync,
+{
+    let workers = cfg.effective_threads();
+    let morsel = if workers <= 1 {
+        n
+    } else {
+        n.div_ceil(workers).max(MIN_PAR_ROWS)
+    };
+    let local = |s: usize, e: usize| {
+        let mut map: HashMap<K, u32> = HashMap::new();
+        let mut null_code: Option<u32> = None;
+        let mut keys: Vec<Option<K>> = Vec::new();
+        let mut open = |k: Option<K>| {
+            keys.push(k);
+            (keys.len() - 1) as u32
+        };
+        let codes: Vec<u32> = (s..e)
+            .map(|i| match key(i) {
+                None => *null_code.get_or_insert_with(|| open(None)),
+                Some(k) => *map.entry(k).or_insert_with(|| open(Some(k))),
+            })
+            .collect();
+        (codes, keys)
+    };
+    let mut parts = bi_exec::par_ranges(cfg, n, morsel, local);
+    if parts.len() <= 1 {
+        let (codes, keys) = parts.pop().unwrap_or_default();
+        return (codes, keys.len() as u32);
+    }
+    let mut global: HashMap<Option<K>, u32> = HashMap::new();
+    let mut codes = Vec::with_capacity(n);
+    for (local_codes, keys) in &parts {
+        let remap: Vec<u32> = keys
+            .iter()
+            .map(|k| {
+                let next = global.len() as u32;
+                *global.entry(*k).or_insert(next)
+            })
+            .collect();
+        codes.extend(local_codes.iter().map(|&c| remap[c as usize]));
+    }
+    (codes, global.len() as u32)
 }
 
 /// A columnar view of (some columns of) a table.
@@ -656,6 +692,29 @@ mod tests {
     }
 
     #[test]
+    fn dense_by_numbers_in_serial_order_at_every_thread_count() {
+        let n = 3 * MIN_PAR_ROWS + 5;
+        // Keys first appear in every morsel, NULLs included.
+        let key = |i: usize| {
+            let h = (i as u64).wrapping_mul(0x9E37_79B9_7F4A_7C15) >> 44;
+            (!h.is_multiple_of(29)).then_some(h % 6000)
+        };
+        let serial = dense_by(&bi_exec::ExecConfig::default(), n, key);
+        assert!(serial.1 > 1000, "high cardinality: {}", serial.1);
+        for threads in [2, 3, 8] {
+            let cfg = bi_exec::ExecConfig::with_threads(threads).with_pinned_threads(true);
+            assert_eq!(serial, dense_by(&cfg, n, key), "threads={threads}");
+        }
+        // Codes open in first-appearance order.
+        let mut seen = 0u32;
+        for &c in &serial.0 {
+            assert!(c <= seen);
+            seen = seen.max(c + 1);
+        }
+        assert_eq!(seen, serial.1);
+    }
+
+    #[test]
     fn dense_codes_group_by_value_equality() {
         let schema = Schema::new(vec![SchemaColumn::nullable("f", DataType::Float)]).unwrap();
         let t = Table::from_rows(
@@ -672,7 +731,10 @@ mod tests {
         )
         .unwrap();
         let chunk = ColumnChunk::from_table(&t).unwrap();
-        let (codes, card) = chunk.column(0).unwrap().dense_codes();
+        let (codes, card) = chunk
+            .column(0)
+            .unwrap()
+            .dense_codes(&bi_exec::ExecConfig::default());
         assert_eq!(codes, vec![0, 0, 1, 2, 2, 1]);
         assert_eq!(card, 3);
     }

@@ -118,7 +118,7 @@ pub fn sort_permutation(
         i.cmp(&j)
     };
     match limit {
-        Some(l) if l == 0 => perm.clear(),
+        Some(0) => perm.clear(),
         Some(l) if l < n => {
             // The comparator is a total order (index tiebreak), so the
             // k smallest are exactly the stable sort's first k.

@@ -197,7 +197,7 @@ mod tests {
     #[test]
     fn compile_decline_falls_back_and_counts() {
         let t = table(64);
-        let cfg = ExecConfig::serial().with_obs(bi_exec::Obs::enabled());
+        let cfg = ExecConfig::default().with_obs(bi_exec::Obs::enabled());
         // Unknown column behind a short-circuit the folder cannot prove:
         // `k >= 0` holds on every row, so the walker never resolves
         // `nope` and the fallback succeeds where compilation declines.

@@ -54,7 +54,7 @@ fn next_version() -> u64 {
 }
 
 /// Tables are shared by reference across `bi-exec` worker threads
-/// (partitioned joins, batch delivery), so thread-safety is part of the
+/// (morsel-parallel joins, batch delivery), so thread-safety is part of the
 /// type's contract, not an accident of its current fields.
 const _: () = {
     const fn assert_sync_send<T: Sync + Send>() {}

@@ -49,8 +49,9 @@ pub struct EngineConfig {
     /// rollup total could difference it back, so the smallest surviving
     /// sibling is hidden too.
     pub complementary_guard: bool,
-    /// How the rewritten plan executes. Defaults to serial; any thread
-    /// count produces byte-identical report tables (see `bi-exec`).
+    /// How the rewritten plan executes. Defaults to one thread on the
+    /// columnar + pipeline engine; any engine and thread count produces
+    /// byte-identical report tables (see `bi-exec`).
     pub exec: ExecConfig,
 }
 
@@ -698,18 +699,15 @@ mod tests {
             table: "FactPrescriptions".into(),
             condition: col("Disease").ne(lit("HIV")),
         }]);
-        let serial = render_enforced(
-            &report,
-            &catalog(),
-            &p,
-            &table_source(),
-            &EngineConfig::default(),
-            today(),
-        )
-        .unwrap();
+        let oracle = EngineConfig {
+            exec: ExecConfig::row_oracle(),
+            ..Default::default()
+        };
+        let serial =
+            render_enforced(&report, &catalog(), &p, &table_source(), &oracle, today()).unwrap();
         for threads in [1, 2, 8] {
             let config = EngineConfig {
-                exec: ExecConfig::with_threads(threads).with_columnar(true),
+                exec: ExecConfig::with_threads(threads),
                 ..Default::default()
             };
             let columnar =

@@ -100,8 +100,10 @@ impl EvolutionWorkload {
         let mut initial = Vec::new();
         for _ in 0..params.initial_reports {
             let id = fresh_id(&mut next_id);
-            live.push(id.clone());
-            initial.push(random_report(id, universe, &mut rng));
+            if let Some(spec) = random_report(id.clone(), universe, &mut rng) {
+                live.push(id);
+                initial.push(spec);
+            }
         }
 
         let total_w = params.w_add + params.w_modify + params.w_remove;
@@ -113,12 +115,18 @@ impl EvolutionWorkload {
                 let roll = rng.gen_range(0..total_w);
                 if roll < params.w_add || live.is_empty() {
                     let id = fresh_id(&mut next_id);
-                    live.push(id.clone());
-                    events.push(EvolutionEvent::Add(random_report(id, universe, &mut rng)));
+                    if let Some(spec) = random_report(id.clone(), universe, &mut rng) {
+                        live.push(id);
+                        events.push(EvolutionEvent::Add(spec));
+                    }
                 } else if roll < params.w_add + params.w_modify {
-                    let id = live.choose(&mut rng).expect("live non-empty").clone();
-                    let plan = random_plan(universe, &mut rng);
-                    events.push(EvolutionEvent::Modify(id, plan));
+                    // `live` is non-empty here (the branch above takes
+                    // the empty case).
+                    if let Some(id) = live.choose(&mut rng).cloned() {
+                        if let Some(plan) = random_plan(universe, &mut rng) {
+                            events.push(EvolutionEvent::Modify(id, plan));
+                        }
+                    }
                 } else {
                     let i = rng.gen_range(0..live.len());
                     let id = live.remove(i);
@@ -136,25 +144,26 @@ impl EvolutionWorkload {
     }
 }
 
-fn random_report(id: ReportId, universe: &ReportUniverse, rng: &mut StdRng) -> ReportSpec {
-    let plan = random_plan(universe, rng);
+/// `None` only for an empty universe.
+fn random_report(id: ReportId, universe: &ReportUniverse, rng: &mut StdRng) -> Option<ReportSpec> {
+    let plan = random_plan(universe, rng)?;
     let role = universe
         .roles
         .choose(rng)
         .cloned()
         .unwrap_or_else(|| RoleId::new("analyst"));
     let title = format!("Report {}", id.as_str());
-    ReportSpec::new(id, title, plan, [role])
+    Some(ReportSpec::new(id, title, plan, [role]))
 }
 
 /// Builds a random SPJA plan: 1–2 tables (joined when 2), 0–2 filters,
 /// an aggregation over 1–2 group columns with count + optional
 /// sum/avg/min/max of a measure. Always aggregated — the paper's BI
 /// reports are aggregate views, and raw row dumps would trip every
-/// aggregation-threshold PLA.
-fn random_plan(universe: &ReportUniverse, rng: &mut StdRng) -> Plan {
+/// aggregation-threshold PLA. `None` only for an empty universe.
+fn random_plan(universe: &ReportUniverse, rng: &mut StdRng) -> Option<Plan> {
     // Pick the base table, possibly extended by one available join.
-    let base = universe.tables.choose(rng).expect("non-empty universe");
+    let base = universe.tables.choose(rng)?;
     let join = if rng.gen_bool(0.4) {
         universe
             .joins
@@ -193,17 +202,19 @@ fn random_plan(universe: &ReportUniverse, rng: &mut StdRng) -> Plan {
             .collect();
         if let Some((c, vals)) = pool.choose(rng) {
             if !vals.is_empty() {
-                let pred: Expr = if vals.len() > 1 && rng.gen_bool(0.5) {
+                let pred: Option<Expr> = if vals.len() > 1 && rng.gen_bool(0.5) {
                     let k = rng.gen_range(1..=vals.len().min(3));
                     let mut chosen: Vec<Value> = vals.clone();
                     chosen.shuffle(rng);
                     chosen.truncate(k);
-                    Expr::InList(Box::new(col(c.clone())), chosen)
+                    Some(Expr::InList(Box::new(col(c.clone())), chosen))
                 } else {
-                    let v = vals.choose(rng).expect("non-empty pool").clone();
-                    col(c.clone()).eq(Expr::Lit(v))
+                    vals.choose(rng)
+                        .map(|v| col(c.clone()).eq(Expr::Lit(v.clone())))
                 };
-                plan = plan.filter(pred);
+                if let Some(pred) = pred {
+                    plan = plan.filter(pred);
+                }
             }
         }
     }
@@ -230,13 +241,16 @@ fn random_plan(universe: &ReportUniverse, rng: &mut StdRng) -> Plan {
         .chain(joined_table.iter().flat_map(|t| t.measure_cols.iter()))
         .collect();
     if !measure_pool.is_empty() && rng.gen_bool(0.6) {
-        let m = measure_pool.choose(rng).expect("non-empty").as_str();
-        let func = *[AggFunc::Sum, AggFunc::Avg, AggFunc::Min, AggFunc::Max]
-            .choose(rng)
-            .expect("non-empty");
-        aggs.push(AggItem::new(format!("{}_{}", func.name(), m), func, m));
+        const FUNCS: [AggFunc; 4] = [AggFunc::Sum, AggFunc::Avg, AggFunc::Min, AggFunc::Max];
+        if let (Some(m), Some(&func)) = (measure_pool.choose(rng), FUNCS.choose(rng)) {
+            aggs.push(AggItem::new(
+                format!("{}_{}", func.name(), m),
+                func,
+                m.as_str(),
+            ));
+        }
     }
-    plan.aggregate(groups, aggs)
+    Some(plan.aggregate(groups, aggs))
 }
 
 #[cfg(test)]

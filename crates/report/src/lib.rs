@@ -22,6 +22,10 @@
 //! * [`evolve`] — a seeded report-evolution workload (add / modify /
 //!   retire reports over epochs), the driver for experiment E5.
 
+// Panics are not an acceptable failure mode in library code: failures
+// carry typed errors. Tests may still unwrap.
+#![cfg_attr(not(test), deny(clippy::unwrap_used, clippy::expect_used))]
+
 pub mod comply;
 pub mod engine;
 pub mod error;

@@ -19,6 +19,10 @@
 //!   per version) so audit replays resolve the exact rows a journaled
 //!   delivery read.
 
+// Panics are not an acceptable failure mode in library code: failures
+// carry typed errors. Tests may still unwrap.
+#![cfg_attr(not(test), deny(clippy::unwrap_used, clippy::expect_used))]
+
 pub mod authz;
 pub mod cube;
 pub mod error;

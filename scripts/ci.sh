@@ -7,12 +7,13 @@
 #   2. the root integration suites plus every crate's unit tests;
 #   3. rustfmt over every first-party package (`vendor/` is excluded —
 #      vendored sources stay byte-identical to upstream);
-#   4. clippy over all targets — the crates' own
+#   4. clippy over all targets with warnings denied — the crates' own
 #      `deny(clippy::unwrap_used, clippy::expect_used)` attributes make
-#      panic paths hard errors here;
+#      panic paths hard errors here too;
 #   5. the clone budget (no deep copies creeping into hot paths);
-#   6. the quick benchmark smoke with all perf gates (parallel,
-#      columnar, VM, fused pipeline, chunk cache, obs overhead, WAL).
+#   6. the quick benchmark smoke with all perf gates (thread sweep,
+#      columnar, VM, fused pipeline, chunk cache, obs overhead, batch,
+#      WAL), each gating medians of repeated interleaved runs.
 #
 # Usage: scripts/ci.sh
 
@@ -36,7 +37,7 @@ done
 cargo fmt --check "${FMT_PKGS[@]}"
 
 echo "== clippy =="
-cargo clippy --workspace --all-targets
+cargo clippy --workspace --all-targets -- -D warnings
 
 echo "== clone budget =="
 scripts/clone_budget.sh

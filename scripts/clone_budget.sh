@@ -41,11 +41,12 @@ declare -A BUDGET=(
   [crates/report/src/engine.rs]=32
   # bi-exec call sites: parallel operators must share via Arc/borrows,
   # not clone per worker. bi-exec itself moves morsel outputs, never
-  # clones. Non-test exec.rs stays at 18: two columnar join/aggregate
+  # clones. Non-test exec.rs is at 15 (18 before the row-parallel join
+  # and aggregate were deleted): columnar join/aggregate
   # late-materialization sites (cloning *surviving* rows is the
-  # byte-identity contract, not an accident). The other 10 sites are in
+  # byte-identity contract, not an accident). The other 8 sites are in
   # #[cfg(test)] oracle fixtures.
-  [crates/query/src/exec.rs]=28
+  [crates/query/src/exec.rs]=23
   # Fused pipeline: clones only survivors (late materialization — the
   # emit/remap paths) and first-encountered group keys/values in the
   # partial-aggregate states. Selection vectors, not rows, cross stages.

@@ -14,12 +14,17 @@
 use plabi::anonymize::{kanon, mondrian, Hierarchy};
 use plabi::exec::ExecConfig;
 use plabi::prelude::*;
-use plabi::query::{execute, execute_with};
+use plabi::query::execute_with;
 use plabi::relation::column::kernel::filter_columnar_with_dict_limit;
 use plabi::relation::expr::{col, lit, Expr};
 use plabi::relation::{filter_columnar, ColumnChunk, ColumnarError};
 use plabi::types::{Column, DataType, Schema};
 use proptest::prelude::*;
+
+/// The row engine alone — the oracle every engine must match.
+fn row_oracle(plan: &Plan, cat: &Catalog) -> Result<Table, plabi::query::QueryError> {
+    execute_with(plan, cat, &ExecConfig::row_oracle())
+}
 
 const THREADS: [usize; 3] = [1, 2, 8];
 
@@ -144,7 +149,7 @@ proptest! {
         let t = mixed_table(&rows);
         let oracle = t.filter(&pred).expect("generated predicates are well-typed");
         for threads in THREADS {
-            let cfg = ExecConfig::with_threads(threads).with_pinned_threads(true).with_columnar(true);
+            let cfg = ExecConfig::with_threads(threads).with_pinned_threads(true);
             // Declining (`None`) is always allowed; the engine falls back.
             if let Some(out) = filter_columnar(&t, &pred, &cfg) {
                 prop_assert_eq!(out.rows(), oracle.rows(), "threads={}", threads);
@@ -162,9 +167,9 @@ proptest! {
         let mut cat = Catalog::new();
         cat.add_table(t).unwrap();
         let plan = scan("Mixed").filter(pred);
-        let serial = execute(&plan, &cat).unwrap();
+        let serial = row_oracle(&plan, &cat).unwrap();
         for threads in THREADS {
-            let cfg = ExecConfig::with_threads(threads).with_pinned_threads(true).with_columnar(true);
+            let cfg = ExecConfig::with_threads(threads).with_pinned_threads(true);
             let out = execute_with(&plan, &cat, &cfg).unwrap();
             prop_assert_eq!(serial.rows(), out.rows(), "threads={}", threads);
             prop_assert_eq!(serial.schema(), out.schema());
@@ -203,9 +208,9 @@ proptest! {
         let inner = scan("Mixed").join(scan("Wards"), vec![("Ward".into(), "Ward".into())], "d");
         let left = scan("Mixed").left_join(scan("Wards"), vec![("Ward".into(), "Ward".into())], "d");
         for plan in [&inner, &left] {
-            let serial = execute(plan, &cat).unwrap();
+            let serial = row_oracle(plan, &cat).unwrap();
             for threads in THREADS {
-                let cfg = ExecConfig::with_threads(threads).with_pinned_threads(true).with_columnar(true);
+                let cfg = ExecConfig::with_threads(threads).with_pinned_threads(true);
                 let out = execute_with(plan, &cat, &cfg).unwrap();
                 prop_assert_eq!(serial.rows(), out.rows(), "threads={}", threads);
                 prop_assert_eq!(serial.schema(), out.schema());
@@ -228,13 +233,107 @@ proptest! {
                 AggItem::new("last", AggFunc::Max, "Admitted"),
             ],
         );
-        let serial = execute(&agg, &cat).unwrap();
+        let serial = row_oracle(&agg, &cat).unwrap();
         for threads in THREADS {
-            let cfg = ExecConfig::with_threads(threads).with_pinned_threads(true).with_columnar(true);
+            let cfg = ExecConfig::with_threads(threads).with_pinned_threads(true);
             let out = execute_with(&agg, &cat, &cfg).unwrap();
             prop_assert_eq!(serial.rows(), out.rows(), "threads={}", threads);
             prop_assert_eq!(serial.schema(), out.schema());
         }
+    }
+}
+
+/// A grouped aggregate over enough rows that the columnar key coding and
+/// group evaluation split into several morsels at 2 and 8 threads: group
+/// order, key bytes, order-sensitive float sums and averages, tie rules
+/// of min/max, and an overflow error all match the row engine.
+#[test]
+fn parallel_aggregate_over_many_morsels_identical_to_row() {
+    let n = 3 * plabi::relation::column::MIN_PAR_ROWS + 123;
+    let schema = Schema::new(vec![
+        Column::nullable("Age", DataType::Int),
+        Column::nullable("Score", DataType::Float),
+        Column::nullable("Ward", DataType::Text),
+        Column::nullable("Chronic", DataType::Bool),
+    ])
+    .unwrap();
+    let rows: Vec<Vec<Value>> = (0..n)
+        .map(|i| {
+            // A multiplicative scramble so groups first appear late and
+            // interleave across morsels.
+            let h = (i as u64).wrapping_mul(0x9E37_79B9_7F4A_7C15) >> 40;
+            vec![
+                if h.is_multiple_of(31) {
+                    Value::Null
+                } else {
+                    Value::Int((h % 5000) as i64)
+                },
+                if h.is_multiple_of(17) {
+                    Value::Null
+                } else {
+                    Value::Float(i as f64 * 0.1 + (h % 13) as f64 / 3.0)
+                },
+                if h.is_multiple_of(23) {
+                    Value::Null
+                } else {
+                    Value::text(format!("w{}", h % 7))
+                },
+                if h.is_multiple_of(11) {
+                    Value::Null
+                } else {
+                    Value::Bool(h.is_multiple_of(3))
+                },
+            ]
+        })
+        .collect();
+    let mut cat = Catalog::new();
+    cat.add_table(Table::from_rows("Big", schema.clone(), rows.clone()).unwrap())
+        .unwrap();
+    let aggs = vec![
+        AggItem::count_star("n"),
+        AggItem::new("ages", AggFunc::Count, "Age"),
+        AggItem::new("distinct", AggFunc::CountDistinct, "Age"),
+        AggItem::new("total", AggFunc::Sum, "Age"),
+        AggItem::new("score", AggFunc::Sum, "Score"),
+        AggItem::new("mean", AggFunc::Avg, "Score"),
+        AggItem::new("age_mean", AggFunc::Avg, "Age"),
+        AggItem::new("lo", AggFunc::Min, "Score"),
+        AggItem::new("hi", AggFunc::Max, "Chronic"),
+        AggItem::new("first_ward", AggFunc::Min, "Ward"),
+    ];
+    let plans = [
+        scan("Big").aggregate(vec!["Ward".into()], aggs.clone()),
+        scan("Big").aggregate(vec!["Ward".into(), "Chronic".into()], aggs.clone()),
+        scan("Big").aggregate(vec!["Age".into()], aggs),
+    ];
+    for plan in &plans {
+        let serial = row_oracle(plan, &cat).unwrap();
+        for threads in THREADS {
+            let cfg = ExecConfig::with_threads(threads).with_pinned_threads(true);
+            let out = execute_with(plan, &cat, &cfg).unwrap();
+            assert_eq!(serial.rows(), out.rows(), "threads={threads}");
+            assert_eq!(serial.schema(), out.schema());
+        }
+    }
+
+    // Late rows of one ward push its integer sum past i64::MAX.
+    let mut overflow = rows;
+    for row in overflow.iter_mut().skip(n - 40) {
+        row[0] = Value::Int(i64::MAX / 8);
+        row[2] = Value::text("w3");
+    }
+    let mut cat = Catalog::new();
+    cat.add_table(Table::from_rows("Big", schema, overflow).unwrap())
+        .unwrap();
+    let plan = scan("Big").aggregate(
+        vec!["Ward".into()],
+        vec![AggItem::new("total", AggFunc::Sum, "Age")],
+    );
+    let serial = row_oracle(&plan, &cat).unwrap_err();
+    for threads in THREADS {
+        let cfg = ExecConfig::with_threads(threads).with_pinned_threads(true);
+        let out = execute_with(&plan, &cat, &cfg).unwrap_err();
+        assert_eq!(serial.to_string(), out.to_string(), "threads={threads}");
     }
 }
 
@@ -250,9 +349,9 @@ proptest! {
     fn columnar_anonymization_identical_to_row(rows in mixed_rows(), k in 2usize..5) {
         let t = mixed_table(&rows);
         let hiers = vec![Hierarchy::numeric("Age", vec![10.0, 40.0]).unwrap()];
-        let serial = kanon::kanonymize(&t, &hiers, k, 1);
+        let serial = kanon::kanonymize_with(&t, &hiers, k, 1, &ExecConfig::row_oracle());
         for threads in THREADS {
-            let cfg = ExecConfig::with_threads(threads).with_pinned_threads(true).with_columnar(true);
+            let cfg = ExecConfig::with_threads(threads).with_pinned_threads(true);
             match (&serial, &kanon::kanonymize_with(&t, &hiers, k, 1, &cfg)) {
                 (Ok(s), Ok(c)) => {
                     prop_assert_eq!(&s.levels, &c.levels, "threads={}", threads);
@@ -265,15 +364,15 @@ proptest! {
         }
 
         let qi = ["Age", "Admitted"];
-        let serial_ok = kanon::is_k_anonymous(&t, &qi, k).unwrap();
+        let serial_ok = kanon::is_k_anonymous_with(&t, &qi, k, &ExecConfig::row_oracle()).unwrap();
         for threads in THREADS {
-            let cfg = ExecConfig::with_threads(threads).with_pinned_threads(true).with_columnar(true);
+            let cfg = ExecConfig::with_threads(threads).with_pinned_threads(true);
             prop_assert_eq!(serial_ok, kanon::is_k_anonymous_with(&t, &qi, k, &cfg).unwrap());
         }
 
-        let serial_m = mondrian::mondrian(&t, &["Age", "Admitted"], k);
+        let serial_m = mondrian::mondrian_with(&t, &["Age", "Admitted"], k, &ExecConfig::row_oracle());
         for threads in THREADS {
-            let cfg = ExecConfig::with_threads(threads).with_pinned_threads(true).with_columnar(true);
+            let cfg = ExecConfig::with_threads(threads).with_pinned_threads(true);
             match (&serial_m, &mondrian::mondrian_with(&t, &["Age", "Admitted"], k, &cfg)) {
                 (Ok(s), Ok(c)) => prop_assert_eq!(s.rows(), c.rows(), "threads={}", threads),
                 (Err(se), Err(ce)) => prop_assert_eq!(se, ce),
@@ -295,8 +394,8 @@ fn empty_table_is_identical_everywhere() {
         scan("Mixed").aggregate(vec!["Ward".into()], vec![AggItem::count_star("n")]),
     ];
     for plan in &plans {
-        let serial = execute(plan, &cat).unwrap();
-        let out = execute_with(plan, &cat, &ExecConfig::columnar()).unwrap();
+        let serial = row_oracle(plan, &cat).unwrap();
+        let out = execute_with(plan, &cat, &ExecConfig::default()).unwrap();
         assert_eq!(serial.rows(), out.rows());
         assert_eq!(serial.schema(), out.schema());
     }
@@ -325,11 +424,11 @@ fn dictionary_overflow_falls_back_to_row_engine() {
 
     // …the capped vectorized filter must decline rather than diverge…
     let pred = col("Name").ne(lit("p7"));
-    assert!(filter_columnar_with_dict_limit(&t, &pred, &ExecConfig::columnar(), 8).is_none());
+    assert!(filter_columnar_with_dict_limit(&t, &pred, &ExecConfig::default(), 8).is_none());
 
     // …and the uncapped path still matches the row oracle exactly.
     let oracle = t.filter(&pred).unwrap();
-    let out = filter_columnar(&t, &pred, &ExecConfig::columnar()).unwrap();
+    let out = filter_columnar(&t, &pred, &ExecConfig::default()).unwrap();
     assert_eq!(oracle.rows(), out.rows());
 }
 
@@ -345,8 +444,8 @@ fn errors_match_row_engine() {
     );
     let bad_filter = scan("Mixed").filter(col("NoSuchCol").ge(lit(1)));
     for plan in [&bad_agg, &bad_filter] {
-        let serial = execute(plan, &cat).unwrap_err();
-        let out = execute_with(plan, &cat, &ExecConfig::columnar()).unwrap_err();
+        let serial = row_oracle(plan, &cat).unwrap_err();
+        let out = execute_with(plan, &cat, &ExecConfig::default()).unwrap_err();
         assert_eq!(serial.to_string(), out.to_string());
     }
 }

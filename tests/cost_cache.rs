@@ -1,26 +1,29 @@
-//! Cost-model and chunk-cache properties.
+//! Engine-identity and chunk-cache properties.
 //!
-//! Three contracts from the adaptive-execution work:
+//! Two contracts from the adaptive-execution work:
 //!
-//! * **Engine identity** — for random tables, every engine the cost
-//!   model can pick (serial, pinned-parallel, columnar) produces
-//!   byte-identical output for the widened kernel set: multi-key
-//!   joins, multi-column group-bys, and sort/top-k.
+//! * **Engine identity** — for random tables, every engine
+//!   configuration (row engine and columnar + pipeline, at 1, 2 and 8
+//!   pinned threads) produces byte-identical output for the widened
+//!   kernel set: multi-key joins, multi-column group-bys, and
+//!   sort/top-k.
 //! * **Cache freshness** — a chunk cached for one storage version is
 //!   never served after the table mutates: renders interleaved with
-//!   mutations always match the serial oracle on the current rows, and
+//!   mutations always match the row oracle on the current rows, and
 //!   the hit/miss counters track version changes exactly.
-//! * **Planner pinning** — decisions are a pure function of row count,
-//!   estimated cardinality and effective threads, so known workloads
-//!   pin known choices (asserted via `plan.choice.*` counters).
 
 use plabi::exec::{ExecConfig, Obs};
 use plabi::prelude::*;
-use plabi::query::{execute, execute_with};
+use plabi::query::execute_with;
 use plabi::types::{Column, DataType, Schema};
 use proptest::prelude::*;
 
 use plabi::core::relation::column::cache;
+
+/// The row engine alone — the oracle every engine must match.
+fn row_oracle(plan: &Plan, cat: &Catalog) -> Result<Table, plabi::query::QueryError> {
+    execute_with(plan, cat, &ExecConfig::row_oracle())
+}
 
 /// Fact rows: nullable Int join key, low-cardinality text, Int value.
 fn fact_rows() -> impl Strategy<Value = Vec<(Option<i64>, u8, i64)>> {
@@ -81,21 +84,21 @@ fn fact_catalog(rows: &[(Option<i64>, u8, i64)]) -> Catalog {
     cat
 }
 
-/// Every engine configuration the cost model can route a plan to.
+/// Every engine configuration a plan can run on.
 fn engine_sweep() -> Vec<ExecConfig> {
     let mut cfgs = Vec::new();
     for threads in [1usize, 2, 8] {
-        // Pinned: exercise the parallel operators even on a 1-core CI
-        // host, where the planner would otherwise always pick serial.
+        // Pinned: exercise the morsel workers even on a 1-core CI host,
+        // where the host clamp would otherwise run them inline.
         let base = ExecConfig::with_threads(threads).with_pinned_threads(true);
         cfgs.push(base.clone().with_columnar(false));
-        cfgs.push(base.with_columnar(true));
+        cfgs.push(base);
     }
     cfgs
 }
 
 fn assert_identical(plan: &Plan, cat: &Catalog) {
-    let oracle = execute(plan, cat).unwrap();
+    let oracle = row_oracle(plan, cat).unwrap();
     for cfg in engine_sweep() {
         let got = execute_with(plan, cat, &cfg).unwrap();
         assert_eq!(oracle.rows(), got.rows(), "cfg={cfg:?}");
@@ -105,10 +108,10 @@ fn assert_identical(plan: &Plan, cat: &Catalog) {
 }
 
 proptest! {
-    #![proptest_config(ProptestConfig { cases: 48, ..ProptestConfig::default() })]
+    #![proptest_config(ProptestConfig::with_cases(48))]
 
     /// Multi-key join (Int + Text composite): byte-identical across
-    /// serial, pinned-parallel and columnar engines.
+    /// the row and columnar engines at every thread count.
     #[test]
     fn prop_multi_key_join_engines_agree(rows in fact_rows()) {
         let cat = fact_catalog(&rows);
@@ -163,7 +166,7 @@ proptest! {
             vec!["G".into()],
             vec![AggItem::count_star("n"), AggItem::new("total", AggFunc::Sum, "V")],
         );
-        let columnar = ExecConfig::columnar();
+        let columnar = ExecConfig::default();
         let mut next = 0i64;
         for mutate in steps {
             if mutate {
@@ -173,7 +176,7 @@ proptest! {
                 next += 1;
                 cat.put_table(t);
             }
-            let oracle = execute(&plan, &cat).unwrap();
+            let oracle = row_oracle(&plan, &cat).unwrap();
             let got = execute_with(&plan, &cat, &columnar).unwrap();
             prop_assert_eq!(oracle.rows(), got.rows());
         }
@@ -198,7 +201,7 @@ fn cache_hits_never_outlive_mutation() {
     );
     let observe = |cat: &Catalog| {
         let obs = Obs::enabled();
-        let cfg = ExecConfig::columnar().with_obs(obs.clone());
+        let cfg = ExecConfig::default().with_obs(obs.clone());
         let out = execute_with(&plan, cat, &cfg).unwrap();
         let snap = obs.snapshot();
         (
@@ -227,7 +230,7 @@ fn cache_hits_never_outlive_mutation() {
     let (out, hits, misses) = observe(&cat);
     assert_eq!(hits, 0, "mutated version must not reuse cached chunks");
     assert!(misses > 0);
-    assert_eq!(out.rows(), execute(&plan, &cat).unwrap().rows());
+    assert_eq!(out.rows(), row_oracle(&plan, &cat).unwrap().rows());
     assert!(
         out.rows().iter().any(|r| r[0] == Value::text("g-new")),
         "render reflects the mutation"
@@ -235,57 +238,4 @@ fn cache_hits_never_outlive_mutation() {
 
     // The cache itself is bounded state, not a leak: entries exist.
     assert!(cache::len() > 0);
-}
-
-/// Planner decisions are pinned per workload: a low-cardinality
-/// aggregation over enough rows parallelizes when threads are pinned
-/// available, a key-per-row aggregation stays serial at any thread
-/// count, and small inputs never partition.
-#[test]
-fn planner_choices_are_pinned_per_workload() {
-    let choice_of = |rows: usize, distinct_keys: bool, threads: usize| -> (u64, u64) {
-        let schema = Schema::new(vec![
-            Column::new("Id", DataType::Int),
-            Column::new("V", DataType::Int),
-        ])
-        .unwrap();
-        let data = (0..rows as i64)
-            .map(|i| {
-                let key = if distinct_keys { i } else { i % 8 };
-                vec![Value::Int(key), Value::Int(i)]
-            })
-            .collect();
-        let mut cat = Catalog::new();
-        cat.add_table(Table::from_rows("T", schema, data).unwrap())
-            .unwrap();
-        let plan = scan("T").aggregate(
-            vec!["Id".into()],
-            vec![AggItem::new("total", AggFunc::Sum, "V")],
-        );
-        let obs = Obs::enabled();
-        let cfg = ExecConfig::with_threads(threads)
-            .with_pinned_threads(true)
-            .with_obs(obs.clone());
-        execute_with(&plan, &cat, &cfg).unwrap();
-        let snap = obs.snapshot();
-        (
-            snap.counters
-                .get("plan.choice.serial")
-                .copied()
-                .unwrap_or(0),
-            snap.counters
-                .get("plan.choice.parallel")
-                .copied()
-                .unwrap_or(0),
-        )
-    };
-
-    // Low-cardinality keys over 10k rows: parallel with pinned threads.
-    assert_eq!(choice_of(10_000, false, 8), (0, 1));
-    // Key-per-row: the partitioned engine's per-group costs lose.
-    assert_eq!(choice_of(10_000, true, 8), (1, 0));
-    // Under the row threshold: serial regardless of keys or threads.
-    assert_eq!(choice_of(1_000, false, 8), (1, 0));
-    // One thread: serial regardless of shape.
-    assert_eq!(choice_of(10_000, false, 1), (1, 0));
 }

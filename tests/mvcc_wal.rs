@@ -458,3 +458,99 @@ fn recovery_round_trips_journal_rechecks_and_replays() {
     assert_eq!(got2, full, "post-recovery deliveries are durable");
     let _ = std::fs::remove_file(&path);
 }
+
+/// Writes a WAL'd deployment whose second ETL commit is an identity
+/// reload (same source rows, storage shared, data version unchanged),
+/// with a delivery on each side of it. Returns the WAL path and the live
+/// journal and data version to compare against.
+fn identity_reload_wal(tag: &str) -> (PathBuf, Vec<String>, Option<u64>) {
+    let path = temp_path(tag);
+    let scenario = Scenario::generate(ScenarioConfig {
+        patients: 12,
+        prescriptions: 40,
+        lab_tests: 0,
+        ..Default::default()
+    });
+    let mut sys = BiSystem::new(today());
+    sys.enable_wal(&path).unwrap();
+    for (sid, cat) in scenario.sources {
+        sys.register_source(sid, cat);
+    }
+    sys.run_etl(&etl_pipeline(), Some("quality")).unwrap();
+    sys.grant("a0", "analyst");
+    sys.define_report(ReportSpec::new(
+        "r-disease",
+        "Disease counts",
+        scan("FactPrescriptions").aggregate(vec!["Disease".into()], vec![AggItem::count_star("N")]),
+        [RoleId::new("analyst")],
+    ));
+    let report = ReportId::new("r-disease");
+    sys.deliver(&report, &ConsumerId::new("a0")).unwrap();
+    let before = sys.warehouse().data_version("FactPrescriptions");
+    sys.run_etl(&etl_pipeline(), Some("quality")).unwrap();
+    let version = sys.warehouse().data_version("FactPrescriptions");
+    assert_eq!(version, before, "an identity reload keeps its data version");
+    sys.deliver(&report, &ConsumerId::new("a0")).unwrap();
+    let journal = sys
+        .audit_log()
+        .entries()
+        .iter()
+        .map(|e| format!("{e:?}"))
+        .collect();
+    (path, journal, version)
+}
+
+/// Recovery replays an identity reload without bumping the data version:
+/// the journal and every table's data version come back unchanged.
+#[test]
+fn identity_reload_recovers_with_unchanged_versions() {
+    let (path, journal, version) = identity_reload_wal("identity");
+    let rec = BiSystem::recover(&path).unwrap();
+    let got: Vec<String> = rec
+        .audit_log()
+        .entries()
+        .iter()
+        .map(|e| format!("{e:?}"))
+        .collect();
+    assert_eq!(got, journal, "journal survives the identity reload");
+    assert_eq!(rec.warehouse().data_version("FactPrescriptions"), version);
+    for r in rec.replay_at_delivery().unwrap() {
+        assert!(r.matches_journal, "seq {} diverged after recovery", r.seq);
+        assert_eq!(r.data_snapshot, SnapshotFidelity::Exact);
+    }
+    let _ = std::fs::remove_file(&path);
+}
+
+/// An identity-reload record whose rows differ from the live rows at
+/// that data version cannot be replayed faithfully: recovery fails
+/// closed instead of serving data the journal never saw.
+#[test]
+fn tampered_identity_reload_is_rejected() {
+    let (path, _, _) = identity_reload_wal("identity-tampered");
+    let mut records = plabi::read_wal(&path).unwrap().records;
+    let last_commit = records
+        .iter()
+        .rposition(|r| matches!(r, plabi::WalRecord::EtlCommit { .. }))
+        .unwrap();
+    let plabi::WalRecord::EtlCommit { tables } = &mut records[last_commit] else {
+        unreachable!("position matched an EtlCommit");
+    };
+    let logged = &mut tables[0].table;
+    let mut rows = logged.rows().to_vec();
+    rows.pop();
+    *logged = Table::from_rows(logged.name(), logged.schema().clone(), rows).unwrap();
+    let _ = std::fs::remove_file(&path);
+    let mut writer = plabi::WalWriter::create(&path).unwrap();
+    for r in &records {
+        writer.append(r).unwrap();
+    }
+    drop(writer);
+    match BiSystem::recover(&path) {
+        Err(WalError::Replay { message }) => {
+            assert!(message.contains("FactPrescriptions"), "{message}")
+        }
+        Err(e) => panic!("expected a replay error, got {e}"),
+        Ok(_) => panic!("a tampered identity reload recovered"),
+    }
+    let _ = std::fs::remove_file(&path);
+}

@@ -101,9 +101,7 @@ fn batch() -> Vec<(ReportId, ConsumerId)> {
 fn observed_run(threads: usize) -> (ObsSnapshot, Vec<Option<usize>>) {
     let mut sys = deployment();
     let obs = Obs::enabled();
-    sys.engine_mut().exec = ExecConfig::with_threads(threads)
-        .with_columnar(true)
-        .with_obs(obs.clone());
+    sys.engine_mut().exec = ExecConfig::with_threads(threads).with_obs(obs.clone());
     let results = sys.deliver_batch(&batch());
     let rows: Vec<Option<usize>> = results
         .iter()
@@ -152,7 +150,7 @@ fn snapshots_are_identical_across_thread_counts() {
 #[test]
 fn disabled_obs_is_inert_and_byte_identical() {
     let mut plain = deployment();
-    plain.engine_mut().exec = ExecConfig::with_threads(2).with_columnar(true);
+    plain.engine_mut().exec = ExecConfig::with_threads(2);
     let baseline = plain.deliver_batch(&batch());
     assert!(!plain.engine_mut().exec.obs.is_enabled());
     assert_eq!(
@@ -162,9 +160,7 @@ fn disabled_obs_is_inert_and_byte_identical() {
 
     let mut observed = deployment();
     let obs = Obs::enabled();
-    observed.engine_mut().exec = ExecConfig::with_threads(2)
-        .with_columnar(true)
-        .with_obs(obs.clone());
+    observed.engine_mut().exec = ExecConfig::with_threads(2).with_obs(obs.clone());
     let results = observed.deliver_batch(&batch());
 
     assert_eq!(baseline.len(), results.len());
@@ -310,9 +306,7 @@ fn kanon_counters_are_thread_invariant() {
     let hs = vec![disease_hierarchy()];
     let run = |threads: usize| {
         let obs = Obs::enabled();
-        let cfg = ExecConfig::with_threads(threads)
-            .with_columnar(true)
-            .with_obs(obs.clone());
+        let cfg = ExecConfig::with_threads(threads).with_obs(obs.clone());
         let out = anonymize::kanonymize_with(&table, &hs, 2, 1, &cfg).unwrap();
         (
             obs.snapshot(),
@@ -332,7 +326,7 @@ fn kanon_counters_are_thread_invariant() {
 }
 
 proptest! {
-    #![proptest_config(ProptestConfig { cases: 24, ..ProptestConfig::default() })]
+    #![proptest_config(ProptestConfig::with_cases(24))]
 
     /// Property form of the determinism contract: for random small
     /// tables and parameters, the k-anonymization snapshot at 2 and 8
@@ -351,9 +345,9 @@ proptest! {
         let table = patient_table(&rows);
         let hs = vec![disease_hierarchy()];
         let plain = anonymize::kanonymize_with(
-            &table, &hs, k, suppress, &ExecConfig::serial());
+            &table, &hs, k, suppress, &ExecConfig::default());
         let obs = Obs::enabled();
-        let cfg = ExecConfig::serial().with_obs(obs.clone());
+        let cfg = ExecConfig::default().with_obs(obs.clone());
         let observed = anonymize::kanonymize_with(&table, &hs, k, suppress, &cfg);
         match (plain, observed) {
             (Ok(p), Ok(o)) => {

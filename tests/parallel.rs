@@ -2,17 +2,23 @@
 //!
 //! The morsel-driven executor's contract is stronger than "same rows":
 //! for every thread count it must produce **identical** output — same
-//! rows, same order, same schema, same table name — as the serial
-//! engine. These properties drive random tables through the parallel
-//! join, aggregate, k-anonymization and Mondrian paths at 1, 2 and 8
-//! threads, and check that batch delivery is deterministic end to end.
+//! rows, same order, same schema, same table name — as the serial row
+//! engine (`ExecConfig::row_oracle()`). These properties drive random
+//! tables through the default engine's join, aggregate,
+//! k-anonymization and Mondrian paths at 1, 2 and 8 threads, and check
+//! that batch delivery is deterministic end to end.
 
 use plabi::anonymize::{kanon, mondrian, Hierarchy};
 use plabi::exec::ExecConfig;
 use plabi::prelude::*;
-use plabi::query::{execute, execute_with};
+use plabi::query::execute_with;
 use plabi::types::{Column, DataType, Schema};
 use proptest::prelude::*;
+
+/// The row engine alone — the oracle every engine must match.
+fn row_oracle(plan: &Plan, cat: &Catalog) -> Result<Table, plabi::query::QueryError> {
+    execute_with(plan, cat, &ExecConfig::row_oracle())
+}
 
 const THREADS: [usize; 3] = [1, 2, 8];
 
@@ -64,7 +70,7 @@ fn fact_catalog(rows: &[(Option<i64>, u8, i64)]) -> Catalog {
 
 /// Serial vs parallel equality for a plan: rows, order, schema, name.
 fn assert_plan_parallel_identical(plan: &Plan, cat: &Catalog) {
-    let serial = execute(plan, cat).unwrap();
+    let serial = row_oracle(plan, cat).unwrap();
     for threads in THREADS {
         let par = execute_with(
             plan,
@@ -147,7 +153,7 @@ proptest! {
             Hierarchy::numeric("Age", vec![10.0, 30.0]).unwrap(),
             Hierarchy::numeric("Zip", vec![2.0, 10.0]).unwrap(),
         ];
-        let serial = kanon::kanonymize(&t, &hiers, k, 1);
+        let serial = kanon::kanonymize_with(&t, &hiers, k, 1, &ExecConfig::row_oracle());
         for threads in THREADS {
             let cfg = ExecConfig::with_threads(threads).with_pinned_threads(true);
             match (&serial, &kanon::kanonymize_with(&t, &hiers, k, 1, &cfg)) {
@@ -161,7 +167,7 @@ proptest! {
             }
         }
 
-        let serial_m = mondrian::mondrian(&t, &["Age"], k);
+        let serial_m = mondrian::mondrian_with(&t, &["Age"], k, &ExecConfig::row_oracle());
         for threads in THREADS {
             let cfg = ExecConfig::with_threads(threads).with_pinned_threads(true);
             match (&serial_m, &mondrian::mondrian_with(&t, &["Age"], k, &cfg)) {

@@ -13,11 +13,16 @@
 
 use plabi::exec::{ExecConfig, Obs};
 use plabi::prelude::*;
-use plabi::query::{execute, execute_with};
+use plabi::query::execute_with;
 use plabi::relation::expr::{col, lit, Expr};
 use plabi::relation::BinOp;
 use plabi::types::{Column, DataType, Schema};
 use proptest::prelude::*;
+
+/// The row engine alone — the oracle every engine must match.
+fn row_oracle(plan: &Plan, cat: &Catalog) -> Result<Table, plabi::query::QueryError> {
+    execute_with(plan, cat, &ExecConfig::row_oracle())
+}
 
 const THREADS: [usize; 3] = [1, 2, 8];
 
@@ -218,9 +223,7 @@ fn build_plan(ops: &[Op], sink: &SinkSpec) -> Plan {
 }
 
 fn pipeline_cfg(threads: usize) -> ExecConfig {
-    ExecConfig::with_threads(threads)
-        .with_pinned_threads(true)
-        .with_columnar(true)
+    ExecConfig::with_threads(threads).with_pinned_threads(true)
 }
 
 // ---------- byte-identity vs the operator-at-a-time oracle ----------
@@ -240,7 +243,7 @@ proptest! {
     ) {
         let cat = mixed_catalog(&rows);
         let plan = build_plan(&ops, &sink);
-        let oracle = execute(&plan, &cat);
+        let oracle = row_oracle(&plan, &cat);
         for threads in THREADS {
             let fused = execute_with(&plan, &cat, &pipeline_cfg(threads));
             match (&oracle, &fused) {
@@ -321,7 +324,7 @@ fn unreproducible_aggregate_declines_and_matches_oracle() {
     let obs = Obs::enabled();
     let cfg = pipeline_cfg(2).with_obs(obs.clone());
     let got = execute_with(&plan, &cat, &cfg);
-    let expect = execute(&plan, &cat);
+    let expect = row_oracle(&plan, &cat);
     assert_eq!(expect.unwrap_err(), got.unwrap_err());
     let snap = obs.snapshot();
     assert!(
@@ -353,7 +356,7 @@ fn empty_input_global_aggregate_matches_oracle() {
             AggItem::new("mn", AggFunc::Min, "Score"),
         ],
     );
-    let expect = execute(&plan, &cat).unwrap();
+    let expect = row_oracle(&plan, &cat).unwrap();
     let got = execute_with(&plan, &cat, &pipeline_cfg(8)).unwrap();
     assert_eq!(expect.rows(), got.rows());
     assert_eq!(expect.schema(), got.schema());
@@ -472,7 +475,6 @@ fn pla_obligations_execute_through_fused_pipeline() {
         let obs = Obs::enabled();
         sys.engine_mut().exec = ExecConfig::with_threads(threads)
             .with_pinned_threads(true)
-            .with_columnar(true)
             .with_obs(obs.clone());
         let delivered = sys
             .deliver(&ReportId::new("r"), &ConsumerId::new("alice@agency"))
